@@ -30,7 +30,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -165,6 +164,20 @@ Graph WithHeadroom(const Graph& base) {
   return g;
 }
 
+// IncrementalValidator::Create over a headroom copy of `base`. Every policy
+// the benchmarks set is valid, so a rejection aborts the run.
+std::unique_ptr<IncrementalValidator> NewValidator(
+    const Graph& base, std::vector<Ged> sigma, ValidationOptions opts = {}) {
+  auto created = IncrementalValidator::Create(
+      WithHeadroom(base), std::move(sigma), std::move(opts));
+  if (!created.ok()) {
+    std::fprintf(stderr, "IncrementalValidator::Create: %s\n",
+                 created.status().ToString().c_str());
+    std::abort();
+  }
+  return created.Take();
+}
+
 // ----- knowledge base -------------------------------------------------------
 
 // Both series replay commits against a graph held near its base scale:
@@ -205,13 +218,12 @@ BENCHMARK(BM_Full_KbRevalidate)
 
 void BM_Incr_KbCommit(benchmark::State& state) {
   KbInstance kb = GenKnowledgeBase(KbAtScale(state.range(0)));
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(kb.graph), Example1Geds());
+  auto v = NewValidator(kb.graph, Example1Geds());
   std::mt19937 rng(42);
   size_t base_nodes = kb.graph.NumNodes();
   for (auto _ : state) {
     if (v->graph().NumNodes() > kMaxGrowth * base_nodes) {
-      v.emplace(WithHeadroom(kb.graph), Example1Geds());
+      v = NewValidator(kb.graph, Example1Geds());
     }
     auto start = std::chrono::steady_clock::now();
     GraphDelta d = MakeKbDelta(v->graph(), state.range(1), &rng);
@@ -269,15 +281,14 @@ void BM_Incr_SocialCommit(benchmark::State& state) {
   sp.num_accounts = static_cast<size_t>(state.range(0));
   sp.num_blogs = sp.num_accounts * 2;
   SocialInstance social = GenSocialNetwork(sp);
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(social.graph),
-            std::vector<Ged>{SpamGed(sp.k, Value("free money"))});
+  auto v = NewValidator(social.graph,
+                        std::vector<Ged>{SpamGed(sp.k, Value("free money"))});
   std::mt19937 rng(42);
   size_t base_nodes = social.graph.NumNodes();
   for (auto _ : state) {
     if (v->graph().NumNodes() > kMaxGrowth * base_nodes) {
-      v.emplace(WithHeadroom(social.graph),
-                std::vector<Ged>{SpamGed(sp.k, Value("free money"))});
+      v = NewValidator(social.graph,
+                       std::vector<Ged>{SpamGed(sp.k, Value("free money"))});
     }
     auto start = std::chrono::steady_clock::now();
     GraphDelta d = MakeSocialDelta(v->graph(), state.range(1), sp.k, &rng);
@@ -334,13 +345,12 @@ void BM_Incr_MusicCommit(benchmark::State& state) {
   MusicParams mp;
   mp.num_artists = static_cast<size_t>(state.range(0));
   MusicInstance music = GenMusicBase(mp);
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(music.graph), MusicKeys());
+  auto v = NewValidator(music.graph, MusicKeys());
   std::mt19937 rng(42);
   size_t base_nodes = music.graph.NumNodes();
   for (auto _ : state) {
     if (v->graph().NumNodes() > kMaxGrowth * base_nodes) {
-      v.emplace(WithHeadroom(music.graph), MusicKeys());
+      v = NewValidator(music.graph, MusicKeys());
     }
     auto start = std::chrono::steady_clock::now();
     GraphDelta d = MakeMusicDelta(v->graph(), state.range(1), &rng);
@@ -367,13 +377,12 @@ void BM_Incr_KbCommitThreads(benchmark::State& state) {
   KbInstance kb = GenKnowledgeBase(KbAtScale(6400));
   ValidationOptions opts;
   opts.num_threads = static_cast<unsigned>(state.range(0));
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+  auto v = NewValidator(kb.graph, Example1Geds(), opts);
   std::mt19937 rng(42);
   size_t base_nodes = kb.graph.NumNodes();
   for (auto _ : state) {
     if (v->graph().NumNodes() > kMaxGrowth * base_nodes) {
-      v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+      v = NewValidator(kb.graph, Example1Geds(), opts);
     }
     auto start = std::chrono::steady_clock::now();
     GraphDelta d = MakeKbDelta(v->graph(), 1024, &rng);
@@ -392,15 +401,15 @@ BENCHMARK(BM_Incr_KbCommitThreads)
 
 // ----- overlay serving snapshots (BM_OverlayCommit) -------------------------
 //
-// High-ingest commit streams with the serving overlay on (use_overlay: scans
-// run on frozen CSR + delta side-index, leapfrog engaged, background
-// re-freeze past the cutoff) vs off (scans on the mutable graph — the
-// pre-overlay behavior). Each iteration replays an identical fixed stream
-// against a freshly seeded validator, so the deterministic counters
-// (violations, matches_checked) never depend on how many iterations the
-// harness schedules; the timed region covers delta construction + Commit
-// only, identically in both rows. The CI perf-smoke job pins
-// overlay ≥ 1.3× mutable on the dense-community series.
+// High-ingest commit streams with the serving overlay on
+// (commit_backend=kOverlay: scans run on frozen CSR + delta side-index,
+// leapfrog engaged, background re-freeze past the cutoff) vs off (scans on
+// the mutable graph — the pre-overlay behavior). Each iteration replays an
+// identical fixed stream against a freshly seeded validator, so the
+// deterministic counters (violations, matches_checked) never depend on how
+// many iterations the harness schedules; the timed region covers delta
+// construction + Commit only, identically in both rows. The CI perf-smoke
+// job pins overlay ≥ 1.3× mutable on the dense-community series.
 
 // A dense-community ingest burst: a few joiners wired densely into block 0
 // plus an intra-community follow burst among existing members.
@@ -459,8 +468,7 @@ void RunOverlayCommitDense(benchmark::State& state, bool use_overlay,
     opts.durability.checkpoints = false;
   }
   for (auto _ : state) {
-    std::optional<IncrementalValidator> v;
-    v.emplace(WithHeadroom(dense.graph), DenseCliqueGeds(), opts);
+    auto v = NewValidator(dense.graph, DenseCliqueGeds(), opts);
     std::mt19937 rng(42);
     double secs = 0;
     uint64_t checked_iter = 0;
@@ -557,8 +565,7 @@ void RunOverlayCommitCards(benchmark::State& state, bool use_overlay) {
   size_t violations = 0;
   uint64_t checked = 0;
   for (auto _ : state) {
-    std::optional<IncrementalValidator> v;
-    v.emplace(WithHeadroom(cards.graph), CardsGeds(), opts);
+    auto v = NewValidator(cards.graph, CardsGeds(), opts);
     std::mt19937 rng(42);
     double secs = 0;
     uint64_t checked_iter = 0;
@@ -605,8 +612,7 @@ void RunProfiledIncremental(const std::string& base) {
   opts.obs = session.Options();
 
   int64_t start_ns = MonotonicNowNs();
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+  auto v = NewValidator(kb.graph, Example1Geds(), opts);
   std::mt19937 rng(42);
   for (int c = 0; c < kCommits; ++c) {
     GraphDelta d = MakeKbDelta(v->graph(), 8, &rng);
@@ -729,8 +735,7 @@ int RunSoak(int seconds, const std::string& base) {
   ValidationOptions opts;
   opts.obs = session.Options();
   opts.num_threads = 2;
-  std::optional<IncrementalValidator> v;
-  v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+  auto v = NewValidator(kb.graph, Example1Geds(), opts);
   std::mt19937 rng(42);
   size_t base_nodes = kb.graph.NumNodes();
 
@@ -761,7 +766,7 @@ int RunSoak(int seconds, const std::string& base) {
   uint64_t commits = 0, stalls = 0;
   while (Clock::now() < deadline) {
     if (v->graph().NumNodes() > kMaxGrowth * base_nodes) {
-      v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+      v = NewValidator(kb.graph, Example1Geds(), opts);
     }
     if (Clock::now() >= next_stall) {
       // Injected stall: an oversized delta, doubled until the recorder
@@ -780,7 +785,7 @@ int RunSoak(int seconds, const std::string& base) {
       ++stalls;
       next_stall = Clock::now() + stall_every;
       // The jumbo delta bloats the instance; reseed promptly.
-      v.emplace(WithHeadroom(kb.graph), Example1Geds(), opts);
+      v = NewValidator(kb.graph, Example1Geds(), opts);
       continue;
     }
     GraphDelta d = MakeKbDelta(v->graph(), 8, &rng);

@@ -7,7 +7,7 @@
 //  * pattern-size sweep at fixed |G| — exponential growth in k;
 //  * the Theorem 6 hardness core: hom(H → K3) via a forbidding GED;
 //  * serial vs parallel validation (the paper's future-work item);
-//  * shared-plan (plan/) vs legacy per-GED evaluation on multi-rule Σ —
+//  * shared-plan (plan/) vs per-rule evaluation on multi-rule Σ —
 //    the ruleset-compiler speedup: one enumeration per pattern *shape*
 //    instead of one per rule;
 //  * frozen CSR snapshot (graph/frozen.h) vs mutable-graph matching on the
@@ -149,7 +149,7 @@ void BM_Validation_Semantics(benchmark::State& state, MatchSemantics sem) {
   state.counters["violations"] = static_cast<double>(violations);
 }
 
-// ----- shared-plan ruleset compiler vs legacy per-GED evaluation ------------
+// ----- shared-plan ruleset compiler vs per-rule evaluation -------------------
 
 // A multi-rule Σ over few pattern shapes, the workload the ruleset compiler
 // targets: `rules_per_shape` rules on each of 3 shapes (edge, 3-path, fork),
@@ -258,7 +258,7 @@ void BM_Validation_ScenarioPlanVsLegacy(benchmark::State& state, int mode) {
 // The large-snapshot regime the frozen read path targets: a dense random
 // property graph (avg out-degree 8 — far past the freeze cutoff) validated
 // against a 3-hop path rule whose enumeration dominates. Mode 0 scans the
-// mutable graph (freeze_snapshot=off); mode 1 freezes per Validate call
+// mutable graph (policy.snapshot=kNever); mode 1 freezes per Validate call
 // (the default on-configuration — freeze cost included in the timing);
 // mode 2 validates a pre-frozen snapshot (the serving regime: freeze once,
 // validate many times). The largest graph size under mode 1 vs mode 0 is
@@ -301,7 +301,7 @@ void BM_Validation_FreezeSnapshot(benchmark::State& state, int mode) {
 }
 
 // The snapshot compilation itself: O(|V| + |E| log d) — the price one
-// freeze_snapshot=on Validate call pays before scanning.
+// policy.snapshot=kAuto Validate call pays before scanning.
 void BM_FreezeCost(benchmark::State& state) {
   RandomGraphParams gp;
   gp.num_nodes = static_cast<size_t>(state.range(0));

@@ -216,8 +216,13 @@ int main(int argc, char** argv) {
     g.SetAttr(fraudster, "verified", Value(int64_t{0}));
     NodeId dev = g.AddNode("device");
     g.AddEdge(fraudster, "uses", dev);
-    monitor = std::make_unique<IncrementalValidator>(
+    auto created = IncrementalValidator::Create(
         std::move(g), std::vector<Ged>{RingGed(), EmbargoGed()}, vopts);
+    if (!created.ok()) {
+      std::cerr << "create failed: " << created.status().ToString() << "\n";
+      return 1;
+    }
+    monitor = std::move(created.value());
   }
   const std::vector<NodeId> merchants = {0, 1, 2};
   const NodeId burner = 4;

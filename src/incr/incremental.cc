@@ -19,35 +19,20 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
   // never be reconciled exactly, so the defense budget is full-validation
   // only.
   options_.max_steps_per_scan = 0;
-  // Normalize the execution policy once: fold the deprecated boolean
-  // aliases in, so every read below (and every ValidationOptions handed to
-  // reason/) sees the same resolved policy.
-  options_.policy = EffectiveExecutionPolicy(options_);
-  if (Status s = ValidateExecutionPolicy(options_.policy,
-                                         ExecutionSurface::kIncremental);
-      !s.ok()) {
-    // The constructor cannot report failure, so degrade to the nearest
-    // valid policy instead of silently running an inert configuration;
-    // Create() is the entry point that rejects with this Status.
-    if (StructuredLogger* logger = options_.obs.Log()) {
-      logger->Log(LogLevel::kError, "invalid_execution_policy",
-                  {{"error", s.message()},
-                   {"action", "degraded join and kernel to auto"}});
-    }
-    options_.policy.join = JoinStrategy::kAuto;
-    options_.policy.kernel = KernelBackend::kAuto;
-  }
   // Compile Σ once; every seed pass and commit re-scan shares it.
-  if (options_.policy.plan == PlanMode::kCompiled) {
-    plan_ = RulesetPlan::Compile(sigma_);
-  }
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
+  plan_ = RulesetPlan::Compile(sigma_, options_.policy.plan);
+  const bool on_overlay =
+      options_.policy.commit_backend == CommitBackend::kOverlay;
+  if (on_overlay) {
     overlay_ = OverlayView(std::make_shared<FrozenGraph>(
                                FrozenGraph::Freeze(graph_, options_.obs)),
                            /*epoch=*/0);
   }
   OpenWal();
-  report_ = RevalidateFull();
+  // Seed from the overlay's frozen base when there is one: RevalidateFull
+  // would freeze graph_ a second time.
+  report_ = on_overlay ? ValidateWithPlan(*overlay_.base(), plan_, options_)
+                       : RevalidateFull();
 }
 
 void IncrementalValidator::OpenWal() {
@@ -82,12 +67,11 @@ void IncrementalValidator::MirrorWalMetrics() {
 
 Result<std::unique_ptr<IncrementalValidator>> IncrementalValidator::Create(
     Graph g, std::vector<Ged> sigma, ValidationOptions options) {
-  Status s = ValidateExecutionPolicy(EffectiveExecutionPolicy(options),
+  Status s = ValidateExecutionPolicy(options.policy,
                                      ExecutionSurface::kIncremental);
   if (!s.ok()) return s;
-  auto v = std::make_unique<IncrementalValidator>(std::move(g),
-                                                  std::move(sigma),
-                                                  std::move(options));
+  std::unique_ptr<IncrementalValidator> v(new IncrementalValidator(
+      std::move(g), std::move(sigma), std::move(options)));
   if (v->options_.durability.enabled() && !v->durable()) {
     return Status::Unavailable("cannot open commit WAL in '" +
                                v->options_.durability.dir +
@@ -379,7 +363,9 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   // this delta so overlay_ equals graph_ for the re-scans below. A commit
   // landing while a freeze is still running is queued for replay onto the
   // new epoch.
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
+  const bool on_overlay =
+      options_.policy.commit_backend == CommitBackend::kOverlay;
+  if (on_overlay) {
     MaybeAdoptRefreeze();
     if (!delta.Apply(&overlay_).ok()) {
       RebuildOverlay();
@@ -405,18 +391,10 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   std::vector<Violation> fresh_v;
   {
     ScopedSpan touching_span(options_.obs.Trace(), "SeedTouching");
-    const bool on_overlay =
-        options_.policy.commit_backend == CommitBackend::kOverlay;
-    const bool compiled = options_.policy.plan == PlanMode::kCompiled;
     ValidationReport fresh =
         on_overlay
-            ? (compiled
-                   ? ValidateTouchingWithPlan(overlay_, plan_, rescan,
-                                              options_)
-                   : ValidateTouching(overlay_, sigma_, rescan, options_))
-            : (compiled
-                   ? ValidateTouchingWithPlan(graph_, plan_, rescan, options_)
-                   : ValidateTouching(graph_, sigma_, rescan, options_));
+            ? ValidateTouchingWithPlan(overlay_, plan_, rescan, options_)
+            : ValidateTouchingWithPlan(graph_, plan_, rescan, options_);
     checked = fresh.matches_checked;
     fresh_v = std::move(fresh.violations);
   }
@@ -427,22 +405,12 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
     std::vector<Violation> seeded;
     {
       ScopedSpan edges_span(options_.obs.Trace(), "SeedEdges");
-      if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-        seeded = options_.policy.plan == PlanMode::kCompiled
-                     ? FindViolationsSeededByEdgesWithPlan(
-                           overlay_, plan_, ap.cross_edges, options_,
-                           &checked)
-                     : FindViolationsSeededByEdges(overlay_, sigma_,
-                                                   ap.cross_edges, options_,
-                                                   &checked);
-      } else {
-        seeded = options_.policy.plan == PlanMode::kCompiled
-                     ? FindViolationsSeededByEdgesWithPlan(
-                           graph_, plan_, ap.cross_edges, options_, &checked)
-                     : FindViolationsSeededByEdges(graph_, sigma_,
-                                                   ap.cross_edges, options_,
-                                                   &checked);
-      }
+      seeded = on_overlay ? FindViolationsSeededByEdgesWithPlan(
+                                overlay_, plan_, ap.cross_edges, options_,
+                                &checked)
+                          : FindViolationsSeededByEdgesWithPlan(
+                                graph_, plan_, ap.cross_edges, options_,
+                                &checked);
     }
     fresh_v.insert(fresh_v.end(), std::make_move_iterator(seeded.begin()),
                    std::make_move_iterator(seeded.end()));
@@ -477,9 +445,7 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   stats_.total_added += stats_.added;
   stats_.total_matches_checked += checked;
 
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-    MaybeStartRefreeze();
-  }
+  if (on_overlay) MaybeStartRefreeze();
 
   if (MetricsRegistry* metrics = options_.obs.Metrics()) {
     metrics->Inc(EngineMetric::kCommitRuns);
@@ -528,10 +494,7 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
 }
 
 ValidationReport IncrementalValidator::RevalidateFull() const {
-  if (options_.policy.plan == PlanMode::kCompiled) {
-    return ValidateWithPlan(graph_, plan_, options_);
-  }
-  return Validate(graph_, sigma_, options_);
+  return ValidateWithPlan(graph_, plan_, options_);
 }
 
 }  // namespace ged

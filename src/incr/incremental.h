@@ -8,7 +8,7 @@
 // re-enumerates only the matches that bind a delta-touched node, by seeding
 // the matcher's `pinned` bindings — one pattern variable pinned to each
 // touched candidate — partitioned across the thread pool
-// (reason/validation.h ValidateTouching). Σ is compiled once into a shared
+// (reason/validation.h ValidateTouchingWithPlan). Σ is compiled once into a
 // ruleset plan (plan/plan.h) at construction, so every commit's re-scan
 // walks one match space per pattern *shape* rather than one per rule.
 //
@@ -66,21 +66,15 @@ namespace ged {
 /// Maintains G ⊨ Σ under append-only deltas.
 class IncrementalValidator {
  public:
-  /// Takes ownership of `g` and Σ and runs one full Validate() to seed the
+  /// Takes ownership of `g` and Σ and runs one full validation to seed the
   /// report. `options.max_violations_per_ged` is forced to 0 (a truncated
   /// report cannot be maintained exactly); the other knobs (threads,
   /// semantics, the execution policy) apply to the initial pass and every
-  /// commit. If the effective policy is invalid for the incremental
-  /// surface, the constructor degrades it to the nearest valid policy
-  /// (join/kernel back to kAuto) and logs an `invalid_execution_policy`
-  /// structured-log error — use Create() to get the hard rejection.
-  IncrementalValidator(Graph g, std::vector<Ged> sigma,
-                       ValidationOptions options = {});
-
-  /// Validating factory: rejects an effective policy that cannot do what it
-  /// claims on the incremental surface (e.g. join=kLeapfrog with
-  /// commit_backend=kMutable — commit re-scans would have no sorted spans
-  /// to intersect) with Status::InvalidArgument before any work starts.
+  /// commit. Rejects a policy that cannot do what it claims on the
+  /// incremental surface (e.g. join=kLeapfrog with commit_backend=kMutable
+  /// — commit re-scans would have no sorted spans to intersect) with
+  /// Status::InvalidArgument before any work starts, and a configured WAL
+  /// that cannot be opened with Status::Unavailable.
   static Result<std::unique_ptr<IncrementalValidator>> Create(
       Graph g, std::vector<Ged> sigma, ValidationOptions options = {});
 
@@ -120,13 +114,10 @@ class IncrementalValidator {
   const OverlayView& overlay() const { return overlay_; }
   /// The GED set Σ.
   const std::vector<Ged>& sigma() const { return sigma_; }
-  /// The compiled shared plan of Σ (empty when policy().plan == kPerRule —
-  /// the validator then runs the legacy per-GED path).
+  /// The compiled plan of Σ, in the shape policy().plan selects.
   const RulesetPlan& plan() const { return plan_; }
-  /// The normalized effective execution policy the validator runs under:
-  /// deprecated aliases folded in, and invalid combinations degraded (see
-  /// the constructor note). Always passes ValidateExecutionPolicy for the
-  /// incremental surface.
+  /// The execution policy the validator runs under. Always passes
+  /// ValidateExecutionPolicy for the incremental surface.
   const ExecutionPolicy& policy() const { return options_.policy; }
   /// The live report: always equal to Validate(graph(), sigma()) with the
   /// same options. `matches_checked` is cumulative across the initial pass
@@ -170,7 +161,7 @@ class IncrementalValidator {
     uint64_t total_retracted = 0;
     uint64_t total_added = 0;
     uint64_t total_matches_checked = 0;
-    // Re-freeze lifecycle totals (use_overlay only).
+    // Re-freeze lifecycle totals (commit_backend=kOverlay only).
     uint64_t refreezes_started = 0;
     uint64_t refreezes_adopted = 0;
     // Background re-freezes that failed (injected faults / checkpoint IO).
@@ -199,12 +190,17 @@ class IncrementalValidator {
   /// report change.
   Result<GraphDelta::Applied> Commit(const GraphDelta& delta);
 
-  /// From-scratch Validate() with the same options — the oracle the
-  /// property tests compare report() against. (Violation lists must match
-  /// exactly; matches_checked differs by design.)
+  /// From-scratch ValidateWithPlan() of graph() with the same options — the
+  /// oracle the property tests compare report() against. (Violation lists
+  /// must match exactly; matches_checked differs by design.)
   ValidationReport RevalidateFull() const;
 
  private:
+  // Seeds the report with one full validation; Create() has already
+  // checked `options.policy`.
+  IncrementalValidator(Graph g, std::vector<Ged> sigma,
+                       ValidationOptions options);
+
   // Non-blocking: if a background re-freeze has finished, join it and swap
   // to the new overlay epoch (replaying deltas committed in the meantime).
   void MaybeAdoptRefreeze();
@@ -232,7 +228,8 @@ class IncrementalValidator {
   ValidationReport report_;
   CommitStats stats_;
 
-  // Serving overlay (use_overlay): mirrors graph_ exactly between commits.
+  // Serving overlay (commit_backend=kOverlay): mirrors graph_ exactly
+  // between commits.
   OverlayView overlay_;
   // Monotonic successful-commit counter; NewDelta() stamps it into deltas.
   uint64_t commit_epoch_ = 0;

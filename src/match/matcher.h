@@ -196,9 +196,9 @@ bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h);
 /// The most selective variable of `q` in `g` by the matcher's own ordering
 /// statistics: smallest label-index candidate count, ties to the highest
 /// pattern degree, then the lowest id — the same ranking BuildOrder() roots
-/// the search at. The single statistic the shared-plan executor
-/// (plan/SelectPinVariable) and the parallel validation drivers partition
-/// work on, so pins land on the variable the search itself would pick.
+/// the search at. The single statistic the parallel validation drivers
+/// (reason/validation.cc) partition plan buckets on, so pins land on the
+/// variable the search itself would pick.
 /// Requires q.NumVars() > 0.
 VarId MostSelectiveVariable(const Pattern& q, const Graph& g);
 VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g);

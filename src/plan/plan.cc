@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
 
 #include "ged/canonical.h"
@@ -57,12 +58,27 @@ size_t RulesetPlan::NumSharedRules() const {
   return shared;
 }
 
-RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma) {
+RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma,
+                                 PlanMode mode) {
   RulesetPlan plan;
   plan.num_rules = sigma.size();
   std::map<std::vector<uint64_t>, size_t> bucket_of;
   for (size_t i = 0; i < sigma.size(); ++i) {
     const Ged& phi = sigma[i];
+    PlanRule rule;
+    rule.ged_index = i;
+    rule.name = phi.name();
+    rule.forbidding = phi.is_forbidding();
+    if (mode == PlanMode::kPerRule) {
+      // A bucket of its own over the rule's pattern, variables untouched.
+      rule.to_plan.resize(phi.pattern().NumVars());
+      std::iota(rule.to_plan.begin(), rule.to_plan.end(), VarId{0});
+      rule.x_plan = phi.X();
+      rule.y_plan = phi.Y();
+      plan.buckets.push_back(PlanBucket{phi.pattern(), {}});
+      plan.buckets.back().rules.push_back(std::move(rule));
+      continue;
+    }
     PatternCanonicalForm form = CanonicalizePattern(phi.pattern());
     auto [it, inserted] = bucket_of.emplace(std::move(form.key),
                                             plan.buckets.size());
@@ -71,15 +87,10 @@ RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma) {
       plan.buckets.back().pattern =
           CanonicalPattern(phi.pattern(), form.to_canonical);
     }
-    PlanBucket& bucket = plan.buckets[it->second];
-    PlanRule rule;
-    rule.ged_index = i;
-    rule.name = phi.name();
     rule.x_plan = RemapLiterals(phi.X(), form.to_canonical);
     rule.y_plan = RemapLiterals(phi.Y(), form.to_canonical);
-    rule.forbidding = phi.is_forbidding();
     rule.to_plan = std::move(form.to_canonical);
-    bucket.rules.push_back(std::move(rule));
+    plan.buckets[it->second].rules.push_back(std::move(rule));
   }
   return plan;
 }
@@ -124,22 +135,6 @@ MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation) {
   return ScanBucketT(g, bucket, mopts, checked, on_violation);
-}
-
-// Pin selection delegates to the matcher's own root-variable statistic
-// (match/MostSelectiveVariable) so parallel partitioning pins the variable
-// the search would root at anyway — one ranking, shared by BuildOrder, the
-// plan executor, and the validation drivers.
-VarId SelectPinVariable(const Pattern& q, const Graph& g) {
-  return MostSelectiveVariable(q, g);
-}
-
-VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g) {
-  return MostSelectiveVariable(q, g);
-}
-
-VarId SelectPinVariable(const Pattern& q, const OverlayView& g) {
-  return MostSelectiveVariable(q, g);
 }
 
 }  // namespace ged

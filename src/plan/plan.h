@@ -9,14 +9,20 @@
 // callback. One bucket of r isomorphic rules costs one pattern enumeration
 // instead of r.
 //
+// PlanMode::kPerRule compiles the degenerate shape instead: one bucket per
+// rule, in Σ order, holding the rule's own pattern verbatim with an identity
+// to_plan. It skips canonicalization entirely, so comparing the two shapes
+// (tests/plan_diff_test.cc) checks canonicalize-and-share against direct
+// per-rule evaluation.
+//
 // Execution (reason/validation.cc drives this through Validate and friends):
 // ScanBucket enumerates the bucket's representative pattern once under
 // caller-supplied MatchOptions (pins, restrictions, exclusions — all the
 // partitioning tools of the matcher apply unchanged, since the bucket
 // pattern *is* a pattern) and reports each rule's violations with the match
 // permuted back into the rule's own variable order, so reports are
-// bit-identical to the per-GED legacy path. SelectPinVariable picks the
-// enumeration variable to partition parallel work on, by label-index
+// bit-identical between the two plan shapes. Parallel work is partitioned on
+// the bucket variable match/MostSelectiveVariable picks, by label-index
 // selectivity (graph/Graph::CandidateCount).
 
 #ifndef GEDLIB_PLAN_PLAN_H_
@@ -30,6 +36,7 @@
 #include "graph/frozen.h"
 #include "graph/graph.h"
 #include "match/matcher.h"
+#include "reason/policy.h"
 
 namespace ged {
 
@@ -53,8 +60,9 @@ struct PlanRule {
 
 /// A set of rules whose patterns are isomorphic, sharing one enumeration.
 struct PlanBucket {
-  /// The canonical representative pattern (labels and edges in canonical
-  /// order; any member rule's pattern renamed by its to_plan).
+  /// The representative pattern: any member rule's pattern renamed by its
+  /// to_plan (labels and edges in canonical order; under kPerRule the one
+  /// rule's own pattern verbatim).
   Pattern pattern;
   /// The member rules' checks, in Σ order.
   std::vector<PlanRule> rules;
@@ -71,8 +79,10 @@ struct RulesetPlan {
   size_t NumSharedRules() const;
 
   /// Compiles Σ. Deterministic: buckets appear in order of their first
-  /// member rule, members in Σ order.
-  static RulesetPlan Compile(const std::vector<Ged>& sigma);
+  /// member rule, members in Σ order. kPerRule emits one bucket per rule
+  /// over its own pattern and variables (see the file comment).
+  static RulesetPlan Compile(const std::vector<Ged>& sigma,
+                             PlanMode mode = PlanMode::kCompiled);
 };
 
 /// Called once per violating (rule, match); `rule_match` is in the rule's
@@ -84,9 +94,10 @@ using PlanViolationCallback =
 /// Enumerates `bucket.pattern` once under `mopts`; for every match and every
 /// member rule, increments *checked and reports the rule's violations
 /// (h ⊨ X but h ⊭ Y). A bucket scan therefore inspects exactly the
-/// (match, rule) pairs the legacy per-GED path would, so `checked` counts
-/// agree with it. Overloaded per read backend; reports are bit-identical
-/// between the mutable Graph and a FrozenGraph snapshot of it.
+/// (match, rule) pairs its rules' one-rule buckets would, so `checked`
+/// counts agree between the two plan shapes. Overloaded per read backend;
+/// reports are bit-identical between the mutable Graph and a FrozenGraph
+/// snapshot of it.
 MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation);
@@ -96,15 +107,6 @@ MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
 MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation);
-
-/// The bucket variable to partition parallel work on: the matcher's own
-/// root-variable statistic (match/MostSelectiveVariable — smallest
-/// label-index candidate count, ties to highest pattern degree then lowest
-/// id), so pins and the search ordering come from the same selectivity
-/// ranking. Requires NumVars() > 0.
-VarId SelectPinVariable(const Pattern& q, const Graph& g);
-VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g);
-VarId SelectPinVariable(const Pattern& q, const OverlayView& g);
 
 }  // namespace ged
 

@@ -1,22 +1,13 @@
 // ExecutionPolicy: the coherent engine-execution options API.
 //
-// The engine's execution knobs grew up as independent booleans on
-// ValidationOptions (use_intersection / use_compiled_plan / freeze_snapshot
-// / use_overlay), which made the *interactions* between them inexpressible:
-// the k-way intersection needs a backend with sorted columnar spans, so
-// "intersection on, overlay off" on the incremental path was silently inert
-// (diagnosed only by a runtime structured-log warning), and there was no
-// way at all to say "I require the leapfrog join" or "run it on this SIMD
-// backend". ExecutionPolicy replaces the sprawl with one validated struct:
-// each field is an enum whose kAuto/default means "the engine decides", and
+// Each execution knob is an enum field whose kAuto/default means "the
+// engine decides", which makes the *interactions* between knobs
+// expressible: the k-way intersection needs a backend with sorted columnar
+// spans, so "require the leapfrog join" is only satisfiable on some
+// surfaces, and a forced SIMD backend is inert without the intersection.
 // ValidateExecutionPolicy rejects combinations that cannot do what they
 // claim with Status::InvalidArgument *before* any work starts — at
 // options-validation time, not as a mid-run warning.
-//
-// The old booleans remain on ValidationOptions as deprecated thin aliases
-// for one release (see the README migration table); they fold into the
-// policy through EffectiveExecutionPolicy(), with an explicitly set policy
-// field always winning over an alias.
 
 #ifndef GEDLIB_REASON_POLICY_H_
 #define GEDLIB_REASON_POLICY_H_
@@ -37,10 +28,12 @@ enum class JoinStrategy : uint8_t {
   kPickSmallest,   ///< legacy scan-smallest-list generator (ablation)
 };
 
-/// How a ruleset Σ is evaluated.
+/// How a ruleset Σ compiles into a plan (plan/plan.h); every shape is
+/// evaluated by the same plan executor.
 enum class PlanMode : uint8_t {
-  kCompiled = 0,  ///< shared ruleset plan, one walk per pattern shape
-  kPerRule,       ///< legacy per-GED enumeration (differential/ablation)
+  kCompiled = 0,  ///< isomorphic rules share a bucket, one walk per shape
+  kPerRule,       ///< one bucket per rule over its own pattern, no
+                  ///< canonicalization (differential/ablation)
 };
 
 /// Whether full validation compiles a mutable graph into a FrozenGraph CSR

@@ -12,32 +12,10 @@
 
 namespace ged {
 
-// The deprecated boolean aliases are read here — and only here — to fold
-// them into the policy; everything downstream consumes the resolved policy.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-ExecutionPolicy EffectiveExecutionPolicy(const ValidationOptions& options) {
-  ExecutionPolicy p = options.policy;
-  if (!options.use_intersection && p.join == JoinStrategy::kAuto) {
-    p.join = JoinStrategy::kPickSmallest;
-  }
-  if (!options.use_compiled_plan && p.plan == PlanMode::kCompiled) {
-    p.plan = PlanMode::kPerRule;
-  }
-  if (!options.freeze_snapshot && p.snapshot == SnapshotMode::kAuto) {
-    p.snapshot = SnapshotMode::kNever;
-  }
-  if (!options.use_overlay && p.commit_backend == CommitBackend::kOverlay) {
-    p.commit_backend = CommitBackend::kMutable;
-  }
-  return p;
-}
-#pragma GCC diagnostic pop
-
 namespace {
 
 MatchOptions BaseMatchOptions(const ValidationOptions& vopts) {
-  ExecutionPolicy policy = EffectiveExecutionPolicy(vopts);
+  const ExecutionPolicy& policy = vopts.policy;
   MatchOptions mopts;
   mopts.semantics = vopts.semantics;
   mopts.degree_filter = vopts.degree_filter;
@@ -64,25 +42,24 @@ std::string PatternDesc(const Pattern& q) {
          ",edges=" + std::to_string(q.edges().size());
 }
 
-// Per-scan-task observability, shared by every scan flavor: opens the
+// Per-scan-task observability, shared by every bucket scan flavor: opens the
 // "Match" trace span, wires the profiler's MatchProfile sink into the
 // MatchOptions (one profile per task — pinned sub-runs accumulate into it),
 // and on Finish() hands profile + wall time to the collector / metrics.
 // All clock reads are skipped when nothing listens.
 class ScanObs {
  public:
-  ScanObs(const ValidationOptions& vopts, const char* kind, size_t bucket_id,
+  ScanObs(const ValidationOptions& vopts, size_t bucket_id,
           MatchOptions* mopts)
       : profiler_(vopts.obs.Profiler()),
         metrics_(vopts.obs.Metrics()),
         recorder_(vopts.obs.Recorder()),
         logger_(vopts.obs.Log()),
-        kind_(kind),
         bucket_id_(bucket_id),
         span_(vopts.obs.Trace(), "Match",
               vopts.obs.Trace() == nullptr
                   ? std::string{}
-                  : std::string(kind) + "=" + std::to_string(bucket_id)) {
+                  : "bucket=" + std::to_string(bucket_id)) {
     // The flight recorder needs the profile too — it is the evidence a
     // slow-scan capture serializes.
     if (profiler_ != nullptr || recorder_ != nullptr) mopts->profile = &prof_;
@@ -104,7 +81,7 @@ class ScanObs {
     if (profiler_ != nullptr) profiler_->AddScan(bucket_id_, prof_, wall);
     if (recorder_ != nullptr &&
         recorder_->ShouldCapture(FlightRecorder::Kind::kScan, wall)) {
-      std::string arg = std::string(kind_) + "=" + std::to_string(bucket_id_);
+      std::string arg = "bucket=" + std::to_string(bucket_id_);
       recorder_->Record(FlightRecorder::Kind::kScan, arg, wall,
                         MatchProfileToJson(prof_));
       if (logger_ != nullptr) {
@@ -122,7 +99,6 @@ class ScanObs {
   MetricsRegistry* metrics_;
   FlightRecorder* recorder_;
   StructuredLogger* logger_;
-  const char* kind_;
   size_t bucket_id_;
   ScopedSpan span_;
   MatchProfile prof_;
@@ -159,60 +135,12 @@ ValidationReport ReportFromWorker(WorkerState ws,
   return report;
 }
 
-// ----- legacy per-GED scans (use_compiled_plan = false) ---------------------
-
-// One scan task of one GED: an unpinned full run when `pins` is empty,
-// otherwise one pinned run per pin (all under one scan-task profile/span).
-// The profiler keys the legacy path by ged_index — one GED = one "bucket".
-template <typename GView>
-void ScanGed(const GView& g, const Ged& phi, size_t ged_index,
-             const ValidationOptions& vopts, VarId pin_var,
-             const std::vector<NodeId>& pins, WorkerState* ws) {
-  MatchOptions mopts = BaseMatchOptions(vopts);
-  ScanObs obs(vopts, "ged", ged_index, &mopts);
-  size_t viol_start = ws->violations.size();
-  MatchStats stats;
-  auto cb = [&](const Match& h) {
-    ++ws->checked;
-    if (!SatisfiesAll(g, h, phi.X())) return true;
-    bool y_ok = !phi.is_forbidding() && SatisfiesAll(g, h, phi.Y());
-    if (!y_ok) ws->violations.push_back(Violation{ged_index, h});
-    return true;
-  };
-  auto run = [&]() {
-    MatchStats s = EnumerateMatches(phi.pattern(), g, mopts, cb);
-    stats.matches += s.matches;
-    stats.steps += s.steps;
-    stats.aborted |= s.aborted;
-  };
-  if (pins.empty()) {
-    run();
-  } else {
-    mopts.pinned.resize(1);
-    for (NodeId pin : pins) {
-      mopts.pinned[0] = {pin_var, pin};
-      run();
-    }
-  }
-  if (stats.aborted) ws->aborted.push_back(ged_index);
-  if (ProfileCollector* profiler = obs.profiler()) {
-    profiler->DeclareBucket(ged_index, PatternDesc(phi.pattern()));
-    profiler->DeclareRule(ged_index, phi.name(), ged_index);
-    profiler->AddRuleCounts(ged_index, stats.matches,
-                            ws->violations.size() - viol_start,
-                            stats.aborted);
-  }
-  obs.Finish();
-}
-
 // Builds the MatchOptions of one touching run: variable x restricted to the
 // label-compatible nodes of `pins` (one batched search), and matches where
 // an earlier variable binds a touched node suppressed in-search — the
 // canonical-run dedup of EnumerateMatchesTouching, each match owned by the
-// run of its smallest touched variable. The single definition of the
-// touching-dedup protocol, shared by the legacy and compiled paths (the
-// differential harness compares like for like). Returns false when no pin
-// is compatible (skip the run). `touched` must outlive the enumeration.
+// run of its smallest touched variable. Returns false when no pin is
+// compatible (skip the run). `touched` must outlive the enumeration.
 template <typename GView>
 bool TouchingRunOptions(const GView& g, const Pattern& q,
                         const ValidationOptions& vopts, VarId x,
@@ -231,38 +159,7 @@ bool TouchingRunOptions(const GView& g, const Pattern& q,
   return true;
 }
 
-// Scans the touching run (x, pins) of one GED, recording violating matches.
-template <typename GView>
-void ScanGedTouching(const GView& g, const Ged& phi, size_t ged_index,
-                     const ValidationOptions& vopts, VarId x,
-                     const std::vector<NodeId>& pins,
-                     const std::vector<NodeId>& touched, WorkerState* ws) {
-  MatchOptions mopts;
-  if (!TouchingRunOptions(g, phi.pattern(), vopts, x, pins, touched, &mopts)) {
-    return;
-  }
-  ScanObs obs(vopts, "ged", ged_index, &mopts);
-  size_t viol_start = ws->violations.size();
-  MatchStats stats = EnumerateMatches(phi.pattern(), g, mopts,
-                                      [&](const Match& h) {
-    ++ws->checked;
-    if (!SatisfiesAll(g, h, phi.X())) return true;
-    bool y_ok = !phi.is_forbidding() && SatisfiesAll(g, h, phi.Y());
-    if (!y_ok) ws->violations.push_back(Violation{ged_index, h});
-    return true;
-  });
-  if (stats.aborted) ws->aborted.push_back(ged_index);
-  if (ProfileCollector* profiler = obs.profiler()) {
-    profiler->DeclareBucket(ged_index, PatternDesc(phi.pattern()));
-    profiler->DeclareRule(ged_index, phi.name(), ged_index);
-    profiler->AddRuleCounts(ged_index, stats.matches,
-                            ws->violations.size() - viol_start,
-                            stats.aborted);
-  }
-  obs.Finish();
-}
-
-// ----- compiled bucket scans (plan/ScanBucket wrappers) ---------------------
+// ----- bucket scans (plan/ScanBucket wrappers) ------------------------------
 
 // Post-scan accounting shared by the bucket scan flavors: a step-budget
 // abort taints every member rule, and the profiler gets per-rule checked
@@ -294,7 +191,7 @@ void ScanBucketInto(const GView& g, const PlanBucket& bucket,
                     VarId pin_var, const std::vector<NodeId>& pins,
                     WorkerState* ws) {
   MatchOptions mopts = BaseMatchOptions(vopts);
-  ScanObs obs(vopts, "bucket", bucket_id, &mopts);
+  ScanObs obs(vopts, bucket_id, &mopts);
   size_t viol_start = ws->violations.size();
   auto on_violation = [&](size_t ged_index, const Match& rule_match) {
     ws->violations.push_back(Violation{ged_index, rule_match});
@@ -321,9 +218,8 @@ void ScanBucketInto(const GView& g, const PlanBucket& bucket,
   obs.Finish();
 }
 
-// Bucket-level twin of ScanGedTouching: one restricted run per bucket
-// variable, canonical-run dedup via exclusion pruning, every member rule
-// checked per match.
+// The touching run (x, pins) of one bucket: canonical-run dedup via
+// exclusion pruning, every member rule checked per match.
 template <typename GView>
 void ScanBucketTouching(const GView& g, const PlanBucket& bucket,
                         size_t bucket_id, const ValidationOptions& vopts,
@@ -334,7 +230,7 @@ void ScanBucketTouching(const GView& g, const PlanBucket& bucket,
                           &mopts)) {
     return;
   }
-  ScanObs obs(vopts, "bucket", bucket_id, &mopts);
+  ScanObs obs(vopts, bucket_id, &mopts);
   size_t viol_start = ws->violations.size();
   MatchStats stats =
       ScanBucket(g, bucket, mopts, &ws->checked,
@@ -400,61 +296,7 @@ std::vector<NodeId> PinCandidates(const Pattern& q, VarId pin,
   return candidates;
 }
 
-// ----- legacy Validate ------------------------------------------------------
-
-template <typename GView>
-ValidationReport ValidateSerialLegacy(const GView& g,
-                                      const std::vector<Ged>& sigma,
-                                      const ValidationOptions& options) {
-  WorkerState ws;
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    ScanGed(g, sigma[i], i, options, 0, {}, &ws);
-  }
-  return ReportFromWorker(std::move(ws), options);
-}
-
-template <typename GView>
-ValidationReport ValidateParallelLegacy(const GView& g,
-                                        const std::vector<Ged>& sigma,
-                                        const ValidationOptions& options) {
-  // Work items: (ged, chunk of candidate nodes for the most selective
-  // variable — the matcher's own root statistic, shared with the compiled
-  // path's SelectPinVariable). Pinning one variable partitions the match
-  // space exactly; chunking keeps the per-item matcher setup amortized.
-  struct WorkItem {
-    size_t ged_index;
-    VarId pin_var;
-    std::vector<NodeId> pins;  // empty = single run without pinning
-  };
-  std::vector<WorkItem> items;
-  size_t chunks_per_ged = std::max<size_t>(1, 8 * options.num_threads);
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const Pattern& q = sigma[i].pattern();
-    if (q.NumVars() == 0) {
-      items.push_back(WorkItem{i, 0, {}});  // single empty match
-      continue;
-    }
-    VarId pin_var = MostSelectiveVariable(q, g);
-    std::vector<NodeId> candidates = PinCandidates(q, pin_var, g);
-    size_t chunk = std::max<size_t>(1, candidates.size() / chunks_per_ged);
-    for (size_t begin = 0; begin < candidates.size(); begin += chunk) {
-      size_t end = std::min(candidates.size(), begin + chunk);
-      items.push_back(
-          WorkItem{i, pin_var,
-                   std::vector<NodeId>(candidates.begin() + begin,
-                                       candidates.begin() + end)});
-    }
-  }
-
-  return RunParallelScan(items.size(), options,
-                         [&](size_t k, WorkerState* ws) {
-                           const WorkItem& item = items[k];
-                           ScanGed(g, sigma[item.ged_index], item.ged_index,
-                                   options, item.pin_var, item.pins, ws);
-                         });
-}
-
-// ----- compiled Validate ----------------------------------------------------
+// ----- Validate -------------------------------------------------------------
 
 template <typename GView>
 ValidationReport ValidateSerialPlan(const GView& g, const RulesetPlan& plan,
@@ -470,8 +312,10 @@ template <typename GView>
 ValidationReport ValidateParallelPlan(const GView& g, const RulesetPlan& plan,
                                       const ValidationOptions& options) {
   // Work items: (bucket, chunk of candidates for the bucket's most selective
-  // variable). Pinning one variable partitions the bucket's match space
-  // exactly, so any item partition is race-free and deterministic.
+  // variable — the matcher's own root statistic, so pins land on the
+  // variable the search would root at anyway). Pinning one variable
+  // partitions the bucket's match space exactly, so any item partition is
+  // race-free and deterministic.
   struct WorkItem {
     const PlanBucket* bucket;
     size_t bucket_id;
@@ -486,7 +330,7 @@ ValidationReport ValidateParallelPlan(const GView& g, const RulesetPlan& plan,
       items.push_back(WorkItem{&bucket, b, 0, {}});  // single empty match
       continue;
     }
-    VarId pin_var = SelectPinVariable(bucket.pattern, g);
+    VarId pin_var = MostSelectiveVariable(bucket.pattern, g);
     std::vector<NodeId> candidates = PinCandidates(bucket.pattern, pin_var, g);
     size_t chunk = std::max<size_t>(1, candidates.size() / chunks_per_bucket);
     for (size_t begin = 0; begin < candidates.size(); begin += chunk) {
@@ -548,7 +392,7 @@ bool SeedEndpointRestrictions(const GView& g, const Pattern& q,
 
 namespace {
 
-// freeze_snapshot pays one O(|V| + |E| log d) compilation pass before any
+// Freezing pays one O(|V| + |E| log d) compilation pass before any
 // matching happens. On large graphs the CSR scan repays it many times over;
 // on tiny ones (unit-test fixtures, the small scenario instances) the freeze
 // alone can exceed the whole enumeration. Freezing kicks in above this
@@ -558,7 +402,7 @@ namespace {
 constexpr size_t kFreezeSizeCutoff = 4096;
 
 bool ShouldFreeze(const Graph& g, const ValidationOptions& options) {
-  ExecutionPolicy policy = EffectiveExecutionPolicy(options);
+  const ExecutionPolicy& policy = options.policy;
   if (policy.snapshot == SnapshotMode::kNever) return false;
   // An explicit leapfrog requirement always freezes: the k-way intersection
   // only engages on the CSR's sorted columnar spans, so honoring the policy
@@ -567,14 +411,14 @@ bool ShouldFreeze(const Graph& g, const ValidationOptions& options) {
   return g.Size() >= kFreezeSizeCutoff;
 }
 
-// RulesetPlan::Compile under the "PlanCompile" span, with plan-shape
-// metrics and the profiler's compile wall time.
+// RulesetPlan::Compile (in the policy's plan shape) under the "PlanCompile"
+// span, with plan-shape metrics and the profiler's compile wall time.
 RulesetPlan CompileWithObs(const std::vector<Ged>& sigma,
                            const ValidationOptions& options) {
   ScopedSpan span(options.obs.Trace(), "PlanCompile");
   ProfileCollector* profiler = options.obs.Profiler();
   int64_t start_ns = profiler == nullptr ? 0 : MonotonicNowNs();
-  RulesetPlan plan = RulesetPlan::Compile(sigma);
+  RulesetPlan plan = RulesetPlan::Compile(sigma, options.policy.plan);
   if (MetricsRegistry* metrics = options.obs.Metrics()) {
     metrics->Inc(EngineMetric::kPlanCompiles);
     metrics->Inc(EngineMetric::kPlanBuckets, plan.buckets.size());
@@ -600,11 +444,7 @@ ValidationReport ValidateWithPlanNoObs(const GView& g, const RulesetPlan& plan,
 template <typename GView>
 ValidationReport ValidateNoObs(const GView& g, const std::vector<Ged>& sigma,
                                const ValidationOptions& options) {
-  if (EffectiveExecutionPolicy(options).plan == PlanMode::kCompiled) {
-    return ValidateWithPlanNoObs(g, CompileWithObs(sigma, options), options);
-  }
-  if (options.num_threads <= 1) return ValidateSerialLegacy(g, sigma, options);
-  return ValidateParallelLegacy(g, sigma, options);
+  return ValidateWithPlanNoObs(g, CompileWithObs(sigma, options), options);
 }
 
 // Run-level observability of one public Validate / ValidateWithPlan call:
@@ -756,9 +596,9 @@ void MergeViolations(std::vector<Violation>* violations,
 namespace {
 
 // The touching and edge-seeded scans, templated over the read backend —
-// shared verbatim by the mutable-Graph overloads (pre-overlay behavior,
-// differential baseline) and the OverlayView overloads the incremental
-// validator serves commits through.
+// shared verbatim by the mutable-Graph overloads (commit_backend=kMutable)
+// and the OverlayView overloads the incremental validator serves commits
+// through.
 
 template <typename GView>
 ValidationReport ValidateTouchingWithPlanT(
@@ -810,68 +650,15 @@ ValidationReport ValidateTouchingWithPlanT(
 }
 
 template <typename GView>
-ValidationReport ValidateTouchingT(const GView& g,
-                                   const std::vector<Ged>& sigma,
-                                   const std::vector<NodeId>& touched,
-                                   const ValidationOptions& options) {
-  if (EffectiveExecutionPolicy(options).plan == PlanMode::kCompiled) {
-    return ValidateTouchingWithPlanT(g, RulesetPlan::Compile(sigma), touched,
-                                     options);
-  }
-  ValidationReport report;
-  if (touched.empty()) return report;
-
-  if (options.num_threads <= 1) {
-    WorkerState ws;
-    for (size_t i = 0; i < sigma.size(); ++i) {
-      const Pattern& q = sigma[i].pattern();
-      for (VarId x = 0; x < q.NumVars(); ++x) {
-        ScanGedTouching(g, sigma[i], i, options, x, touched, touched, &ws);
-      }
-    }
-    return ReportFromWorker(std::move(ws), options);
-  }
-
-  // Parallel: one work item per (GED, pin variable, touched-node chunk);
-  // pinned runs are independent, so any partition is race-free.
-  struct WorkItem {
-    size_t ged_index;
-    VarId var;
-    std::vector<NodeId> pins;
-  };
-  std::vector<WorkItem> items;
-  size_t chunk = std::max<size_t>(
-      1, touched.size() / std::max<size_t>(1, 4 * options.num_threads));
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const Pattern& q = sigma[i].pattern();
-    for (VarId x = 0; x < q.NumVars(); ++x) {
-      for (size_t begin = 0; begin < touched.size(); begin += chunk) {
-        size_t end = std::min(touched.size(), begin + chunk);
-        items.push_back(WorkItem{
-            i, x,
-            std::vector<NodeId>(touched.begin() + begin,
-                                touched.begin() + end)});
-      }
-    }
-  }
-
-  return RunParallelScan(
-      items.size(), options, [&](size_t k, WorkerState* ws) {
-        const WorkItem& item = items[k];
-        ScanGedTouching(g, sigma[item.ged_index], item.ged_index, options,
-                        item.var, item.pins, touched, ws);
-      });
-}
-
-template <typename GView>
 std::vector<Violation> FindViolationsSeededByEdgesWithPlanT(
     const GView& g, const RulesetPlan& plan,
     const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
     uint64_t* checked) {
   WorkerState ws;
   MatchOptions base = BaseMatchOptions(options);
-  // See the legacy path above: the step budget never applies to seeded
-  // re-scans.
+  // A truncated seeded re-scan would break the set-difference reconciliation
+  // that keeps incremental maintenance exact — the step budget never applies
+  // here.
   base.max_steps = 0;
   std::vector<NodeId> srcs, dsts;
   for (size_t b = 0; b < plan.buckets.size(); ++b) {
@@ -881,7 +668,7 @@ std::vector<Violation> FindViolationsSeededByEdgesWithPlanT(
       if (!SeedEndpointRestrictions(g, q, pe, seeds, &srcs, &dsts)) continue;
       MatchOptions mopts = base;
       mopts.restricted = {{pe.src, srcs}, {pe.dst, dsts}};
-      ScanObs obs(options, "bucket", b, &mopts);
+      ScanObs obs(options, b, &mopts);
       size_t viol_start = ws.violations.size();
       MatchStats stats =
           ScanBucket(g, bucket, mopts, &ws.checked,
@@ -900,69 +687,7 @@ std::vector<Violation> FindViolationsSeededByEdgesWithPlanT(
   return out;
 }
 
-template <typename GView>
-std::vector<Violation> FindViolationsSeededByEdgesT(
-    const GView& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked) {
-  if (EffectiveExecutionPolicy(options).plan == PlanMode::kCompiled) {
-    return FindViolationsSeededByEdgesWithPlanT(g, RulesetPlan::Compile(sigma),
-                                                seeds, options, checked);
-  }
-  WorkerState ws;
-  MatchOptions base = BaseMatchOptions(options);
-  // A truncated seeded re-scan would break the set-difference reconciliation
-  // that keeps incremental maintenance exact — the step budget never applies
-  // here.
-  base.max_steps = 0;
-  std::vector<NodeId> srcs, dsts;
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const Ged& phi = sigma[i];
-    const Pattern& q = phi.pattern();
-    for (const Pattern::PEdge& pe : q.edges()) {
-      if (!SeedEndpointRestrictions(g, q, pe, seeds, &srcs, &dsts)) continue;
-      MatchOptions mopts = base;
-      mopts.restricted = {{pe.src, srcs}, {pe.dst, dsts}};
-      ScanObs obs(options, "ged", i, &mopts);
-      size_t viol_start = ws.violations.size();
-      MatchStats stats = EnumerateMatches(q, g, mopts, [&](const Match& h) {
-        ++ws.checked;
-        if (!SatisfiesAll(g, h, phi.X())) return true;
-        bool y_ok = !phi.is_forbidding() && SatisfiesAll(g, h, phi.Y());
-        if (!y_ok) ws.violations.push_back(Violation{i, h});
-        return true;
-      });
-      if (ProfileCollector* profiler = obs.profiler()) {
-        profiler->DeclareBucket(i, PatternDesc(q));
-        profiler->DeclareRule(i, phi.name(), i);
-        profiler->AddRuleCounts(i, stats.matches,
-                                ws.violations.size() - viol_start,
-                                stats.aborted);
-      }
-      obs.Finish();
-    }
-  }
-  *checked += ws.checked;
-  std::vector<Violation> out = std::move(ws.violations);
-  SortViolationList(&out);
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 }  // namespace
-
-ValidationReport ValidateTouching(const Graph& g, const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options) {
-  return ValidateTouchingT(g, sigma, touched, options);
-}
-
-ValidationReport ValidateTouching(const OverlayView& g,
-                                  const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options) {
-  return ValidateTouchingT(g, sigma, touched, options);
-}
 
 ValidationReport ValidateTouchingWithPlan(
     const Graph& g, const RulesetPlan& plan,
@@ -974,20 +699,6 @@ ValidationReport ValidateTouchingWithPlan(
     const OverlayView& g, const RulesetPlan& plan,
     const std::vector<NodeId>& touched, const ValidationOptions& options) {
   return ValidateTouchingWithPlanT(g, plan, touched, options);
-}
-
-std::vector<Violation> FindViolationsSeededByEdges(
-    const Graph& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked) {
-  return FindViolationsSeededByEdgesT(g, sigma, seeds, options, checked);
-}
-
-std::vector<Violation> FindViolationsSeededByEdges(
-    const OverlayView& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked) {
-  return FindViolationsSeededByEdgesT(g, sigma, seeds, options, checked);
 }
 
 std::vector<Violation> FindViolationsSeededByEdgesWithPlan(

@@ -6,17 +6,18 @@
 // patterns of bounded size k (§5.3 "Tractable cases") — which covers
 // real-life patterns (98% of SPARQL patterns have ≤ 4 nodes / 5 edges).
 //
-// Validate() checks X → Y over the homomorphic matches of Σ's patterns. By
-// default Σ is first compiled into a shared plan (plan/plan.h): rules with
-// isomorphic patterns are bucketed into one batched enumeration with
-// per-rule condition callbacks, so a multi-rule Σ over few pattern shapes
-// pays one match-space walk per shape instead of one per rule. The legacy
-// per-GED path is kept behind ExecutionPolicy::plan = kPerRule;
-// the two paths produce bit-identical sorted reports (pinned by the
-// differential harness in tests/plan_diff_test.cc). The paper's future-work
-// item "parallel scalable algorithms" is implemented as a thread pool
-// partitioning the candidate bindings of one pattern variable — the most
-// selective one, by the label-index statistics of graph/.
+// Validate() checks X → Y over the homomorphic matches of Σ's patterns. Σ
+// is always evaluated through a compiled plan (plan/plan.h). By default
+// rules with isomorphic patterns are bucketed into one batched enumeration
+// with per-rule condition callbacks, so a multi-rule Σ over few pattern
+// shapes pays one match-space walk per shape instead of one per rule.
+// ExecutionPolicy::plan = kPerRule compiles one bucket per rule over the
+// rule's own pattern instead; both shapes produce bit-identical sorted
+// reports (pinned by the differential harness in tests/plan_diff_test.cc).
+// The paper's future-work item "parallel scalable algorithms" is
+// implemented as a thread pool partitioning the candidate bindings of one
+// pattern variable — the most selective one, by the label-index statistics
+// of graph/.
 //
 // Full validation is read-only, so by default (ExecutionPolicy::snapshot,
 // above the amortization cutoff) the graph is first compiled into an immutable FrozenGraph
@@ -55,17 +56,10 @@ inline bool ViolationLess(const Violation& a, const Violation& b) {
 }
 
 /// Knobs for Validate().
-///
-/// The deprecated alias members below make the compiler flag the struct's
-/// own implicitly synthesized constructors (their default initializers
-/// read deprecated fields). Suppress inside the definition only; reads and
-/// writes of the aliases in caller code still warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct ValidationOptions {
   /// Keep at most this many violations per GED (0 = all): the
   /// ViolationLess-smallest ones, deterministically — the same report for
-  /// any num_threads and either evaluation path. The cap truncates the
+  /// any num_threads and either plan shape. The cap truncates the
   /// report, it does not bound the scan.
   uint64_t max_violations_per_ged = 0;
   /// Homomorphism (paper semantics) or subgraph isomorphism ([19,23]
@@ -79,20 +73,17 @@ struct ValidationOptions {
   bool degree_filter = true;
   bool smart_order = true;
   /// The coherent execution policy (reason/policy.h): join strategy, SIMD
-  /// kernel backend, plan mode, snapshot mode, incremental commit backend —
-  /// every knob the four deprecated booleans below used to cover, plus the
-  /// ones they could not express (require-leapfrog, forced kernel backend).
+  /// kernel backend, plan shape, snapshot mode, incremental commit backend.
   /// Validate with ValidateExecutionPolicy / IncrementalValidator::Create
   /// to get InvalidArgument on inert combinations before work starts.
-  /// Entry points taking options resolve EffectiveExecutionPolicy(), so an
-  /// explicitly set policy field always beats a deprecated alias.
   ///
-  /// Semantics the policy carries (formerly per-bool documentation):
-  ///   * join: worst-case-optimal k-way intersection vs the legacy
-  ///     pick-smallest-list generator. Reports are identical either way;
-  ///     kAuto leapfrogs wherever the backend has sorted columnar spans.
-  ///   * plan: shared ruleset plan vs legacy per-GED enumeration (kept for
-  ///     differential testing and ablation); reports are bit-identical.
+  /// Semantics the policy carries:
+  ///   * join: worst-case-optimal k-way intersection vs the pick-smallest-
+  ///     list generator. Reports are identical either way; kAuto leapfrogs
+  ///     wherever the backend has sorted columnar spans.
+  ///   * plan: how Σ compiles — isomorphic rules share one bucket, or one
+  ///     bucket per rule over its own pattern (differential testing and
+  ///     ablation); reports are bit-identical.
   ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
   ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
   ///     kAuto engages above an amortization cutoff (and always under
@@ -105,20 +96,6 @@ struct ValidationOptions {
   ///     validation) vs the mutable graph directly (pre-overlay baseline);
   ///     reports are bit-identical (tests/overlay_test.cc).
   ExecutionPolicy policy;
-  /// DEPRECATED aliases of `policy`, kept as thin fallbacks for one
-  /// release. Setting one to false maps onto the matching policy field
-  /// (use_intersection → join=kPickSmallest, use_compiled_plan →
-  /// plan=kPerRule, freeze_snapshot → snapshot=kNever, use_overlay →
-  /// commit_backend=kMutable) unless that field was set explicitly. See
-  /// the README "ExecutionPolicy migration" table.
-  [[deprecated("set ValidationOptions::policy.join instead")]]
-  bool use_intersection = true;
-  [[deprecated("set ValidationOptions::policy.plan instead")]]
-  bool use_compiled_plan = true;
-  [[deprecated("set ValidationOptions::policy.snapshot instead")]]
-  bool freeze_snapshot = true;
-  [[deprecated("set ValidationOptions::policy.commit_backend instead")]]
-  bool use_overlay = true;
   /// Re-freeze cutoff (IncrementalValidator, commit_backend=kOverlay): once
   /// overlay's side index outweighs this many entries (OverlayView::
   /// DeltaWeight), a background thread compacts it into a fresh FrozenGraph
@@ -145,13 +122,6 @@ struct ValidationOptions {
   /// Ignored by full (non-incremental) validation. Default-disabled.
   DurabilityOptions durability;
 };
-#pragma GCC diagnostic pop
-
-/// Resolves options.policy against the deprecated boolean aliases: a
-/// non-default bool overrides the matching policy field only when that
-/// field is still at its default (an explicit policy always wins). Every
-/// validation/incremental entry point reads the options through this.
-ExecutionPolicy EffectiveExecutionPolicy(const ValidationOptions& options);
 
 /// Validation outcome.
 struct ValidationReport {
@@ -160,8 +130,8 @@ struct ValidationReport {
   /// All violations found (sorted by ged_index, then match).
   std::vector<Violation> violations;
   /// Total (match, rule) pairs inspected across all GEDs. Identical between
-  /// the compiled and legacy paths: a bucket of r rules counts each
-  /// enumerated match r times, exactly as r per-GED scans would.
+  /// the two plan shapes: a bucket of r rules counts each enumerated match
+  /// r times, exactly as r one-rule buckets would.
   uint64_t matches_checked = 0;
   /// GED indices (sorted, distinct) whose scan hit
   /// ValidationOptions::max_steps_per_scan — their violation lists may be
@@ -169,9 +139,10 @@ struct ValidationReport {
   std::vector<size_t> aborted_geds;
 };
 
-/// Checks G ⊨ Σ, reporting violations. Under policy.snapshot = kAuto (the
-/// default) the graph is frozen once above the amortization cutoff and
-/// scanned through the CSR snapshot.
+/// Checks G ⊨ Σ, reporting violations: compiles Σ under policy.plan, then
+/// runs ValidateWithPlan. Under policy.snapshot = kAuto (the default) the
+/// graph is frozen once above the amortization cutoff and scanned through
+/// the CSR snapshot.
 ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 /// Checks a pre-frozen snapshot (the serving path: freeze once, validate
@@ -181,7 +152,7 @@ ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
 
 /// Validate() against a pre-compiled plan of the same Σ (amortizes
 /// compilation across repeated validations; incr/ holds one per validator).
-/// policy.plan is ignored — the plan is always used.
+/// policy.plan is ignored — the plan's own shape is used.
 ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
                                   const ValidationOptions& options = {});
 /// Pre-frozen + pre-compiled: the fully amortized serving configuration.
@@ -223,25 +194,16 @@ size_t EraseViolationsTouching(std::vector<Violation>* violations,
 /// Merges sorted `fresh` into sorted `violations`, keeping the order
 /// invariant. The two lists must be disjoint (guaranteed when `violations`
 /// was filtered by EraseViolationsTouching and `fresh` comes from
-/// ValidateTouching over the same touched set).
+/// ValidateTouchingWithPlan over the same touched set).
 void MergeViolations(std::vector<Violation>* violations,
                      std::vector<Violation> fresh);
 
-/// Validates only the matches that bind at least one node of `touched`
-/// (sorted, duplicate-free): the report lists exactly the violations among
-/// those matches, sorted. Work is partitioned across options.num_threads by
-/// (bucket, pin variable, touched-candidate chunk), reusing the parallel
-/// scheme of Validate(). Patterns with no variables contribute nothing
-/// (their single empty match binds no node).
-ValidationReport ValidateTouching(const Graph& g, const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options = {});
-ValidationReport ValidateTouching(const OverlayView& g,
-                                  const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options = {});
-
-/// ValidateTouching() against a pre-compiled plan of the same Σ.
+/// Validates only the matches of `plan` (compiled from Σ) that bind at least
+/// one node of `touched` (sorted, duplicate-free): the report lists exactly
+/// the violations among those matches, sorted. Work is partitioned across
+/// options.num_threads by (bucket, pin variable, touched-candidate chunk),
+/// reusing the parallel scheme of Validate(). Patterns with no variables
+/// contribute nothing (their single empty match binds no node).
 ValidationReport ValidateTouchingWithPlan(const Graph& g,
                                           const RulesetPlan& plan,
                                           const std::vector<NodeId>& touched,
@@ -251,29 +213,20 @@ ValidationReport ValidateTouchingWithPlan(const OverlayView& g,
                                           const std::vector<NodeId>& touched,
                                           const ValidationOptions& options = {});
 
-/// Violating matches that can map a pattern edge onto one of the `seeds`:
-/// for each (pattern, pattern edge (u,ι,v)), one batched run restricts h(u)
-/// to the compatible seed sources and h(v) to the compatible seed targets
-/// (ι ≼ seed label, endpoint labels ≼-compatible). This covers every match
-/// an edge insert between pre-existing nodes can create, slightly
-/// over-approximated: h(u)/h(v) may pair endpoints of different seeds via a
-/// pre-existing edge, and parallel edges are indistinguishable from the
-/// seed — so the result (sorted, duplicate-free) may re-find matches that
-/// already existed, and callers holding a maintained report reconcile by
-/// set-difference. `checked` is incremented per (match, rule) inspected
-/// (before deduplication). options.max_violations_per_ged is intentionally
-/// NOT honored here: truncating the seeded scan would break the
-/// set-difference reconciliation that keeps incremental maintenance exact.
-std::vector<Violation> FindViolationsSeededByEdges(
-    const Graph& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked);
-std::vector<Violation> FindViolationsSeededByEdges(
-    const OverlayView& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked);
-
-/// FindViolationsSeededByEdges() against a pre-compiled plan of the same Σ.
+/// Violating matches of `plan` (compiled from Σ) that can map a pattern edge
+/// onto one of the `seeds`: for each (bucket pattern, pattern edge (u,ι,v)),
+/// one batched run restricts h(u) to the compatible seed sources and h(v)
+/// to the compatible seed targets (ι ≼ seed label, endpoint labels
+/// ≼-compatible). This covers every match an edge insert between
+/// pre-existing nodes can create, slightly over-approximated: h(u)/h(v) may
+/// pair endpoints of different seeds via a pre-existing edge, and parallel
+/// edges are indistinguishable from the seed — so the result (sorted,
+/// duplicate-free) may re-find matches that already existed, and callers
+/// holding a maintained report reconcile by set-difference. `checked` is
+/// incremented per (match, rule) inspected (before deduplication).
+/// options.max_violations_per_ged is intentionally NOT honored here:
+/// truncating the seeded scan would break the set-difference reconciliation
+/// that keeps incremental maintenance exact.
 std::vector<Violation> FindViolationsSeededByEdgesWithPlan(
     const Graph& g, const RulesetPlan& plan,
     const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,

@@ -104,51 +104,6 @@ TEST(ExecutionPolicy, ScalarKernelAlwaysValidatesUnderAutoJoin) {
       ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
 }
 
-// ----- deprecated-boolean alias folding -------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(EffectiveExecutionPolicy, DefaultsStayAuto) {
-  ValidationOptions options;
-  EXPECT_EQ(EffectiveExecutionPolicy(options), ExecutionPolicy{});
-}
-
-TEST(EffectiveExecutionPolicy, EachAliasMapsOntoItsPolicyField) {
-  {
-    ValidationOptions options;
-    options.use_intersection = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).join,
-              JoinStrategy::kPickSmallest);
-  }
-  {
-    ValidationOptions options;
-    options.use_compiled_plan = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).plan, PlanMode::kPerRule);
-  }
-  {
-    ValidationOptions options;
-    options.freeze_snapshot = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).snapshot,
-              SnapshotMode::kNever);
-  }
-  {
-    ValidationOptions options;
-    options.use_overlay = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).commit_backend,
-              CommitBackend::kMutable);
-  }
-}
-
-TEST(EffectiveExecutionPolicy, ExplicitPolicyBeatsDeprecatedAlias) {
-  ValidationOptions options;
-  options.use_intersection = false;        // alias says pick-smallest...
-  options.policy.join = JoinStrategy::kLeapfrog;  // ...explicit policy wins
-  EXPECT_EQ(EffectiveExecutionPolicy(options).join, JoinStrategy::kLeapfrog);
-}
-
-#pragma GCC diagnostic pop
-
 // ----- backend name round-trip ----------------------------------------------
 
 TEST(KernelBackendNames, ParseRoundTripsEveryName) {

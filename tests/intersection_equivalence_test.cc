@@ -3,7 +3,7 @@
 // on CSR snapshots) must be *observationally identical* to the legacy
 // pick-smallest-list path — same match sets, same violation reports, same
 // matches_checked — across both read backends, both semantics, compiled and
-// legacy plans, serial and parallel. Plus unit tests pinning the
+// per-rule plans, serial and parallel. Plus unit tests pinning the
 // gallop/leapfrog kernel itself on adversarial inputs: empty ranges,
 // disjoint ranges, duplicates across labels, self-loops.
 
@@ -298,7 +298,7 @@ void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
         ValidationReport without = Validate(f, sigma, opts);
         ValidationReport mutable_report = Validate(g, sigma, opts);
         std::string ctx = what + " [" + sem.name +
-                          (compiled ? ", compiled" : ", legacy") +
+                          (compiled ? ", compiled" : ", per-rule") +
                           ", threads=" + std::to_string(threads) + "]";
         EXPECT_EQ(with.satisfied, without.satisfied) << ctx;
         EXPECT_EQ(with.violations, without.violations) << ctx;

@@ -18,6 +18,7 @@
 #include "incr/incremental.h"
 #include "obs/obs.h"
 #include "reason/validation.h"
+#include "validator_testing.h"
 
 namespace ged {
 namespace {
@@ -337,19 +338,19 @@ TEST(CommitStats, TotalsAccumulateAcrossCommits) {
   ObsSession session;
   ValidationOptions opts;
   opts.obs = session.Options();
-  IncrementalValidator validator(std::move(g), std::move(sigma), opts);
+  auto validator = CreateValidator(std::move(g), std::move(sigma), opts);
 
   uint64_t sum_touched = 0, sum_retracted = 0, sum_added = 0, sum_checked = 0;
   constexpr uint64_t kCommits = 3;
   for (int c = 0; c < static_cast<int>(kCommits); ++c) {
-    GraphDelta delta = validator.NewDelta();
-    NodeId n = delta.AddNode(validator.graph().label(0));
+    GraphDelta delta = validator->NewDelta();
+    NodeId n = delta.AddNode(validator->graph().label(0));
     delta.AddEdge(static_cast<NodeId>(c), "obs_e", n);
     delta.SetAttr(static_cast<NodeId>(c + 1), "k", Value(100 + c));
-    auto applied = validator.Commit(delta);
+    auto applied = validator->Commit(delta);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
 
-    const IncrementalValidator::CommitStats& s = validator.last_commit();
+    const IncrementalValidator::CommitStats& s = validator->last_commit();
     sum_touched += s.touched;
     sum_retracted += s.retracted;
     sum_added += s.added;
@@ -372,14 +373,14 @@ TEST(CommitStats, TotalsAccumulateAcrossCommits) {
   EXPECT_EQ(value(EngineMetric::kCommitAdded), sum_added);
   EXPECT_EQ(value(EngineMetric::kCommitMatchesChecked), sum_checked);
   EXPECT_EQ(value(EngineMetric::kLiveViolations),
-            validator.report().violations.size());
+            validator->report().violations.size());
 
   // And the maintained report is still exact — with observability enabled
   // end to end, the incremental paths must agree with from-scratch
   // validation just as they do uninstrumented.
-  ValidationReport oracle = validator.RevalidateFull();
-  EXPECT_EQ(validator.report().violations, oracle.violations);
-  EXPECT_EQ(validator.report().satisfied, oracle.satisfied);
+  ValidationReport oracle = validator->RevalidateFull();
+  EXPECT_EQ(validator->report().violations, oracle.violations);
+  EXPECT_EQ(validator->report().satisfied, oracle.satisfied);
 }
 
 }  // namespace

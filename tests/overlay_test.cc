@@ -1,7 +1,7 @@
 // OverlayView backend-equivalence suite: the delta overlay must be
 // indistinguishable from the mutable Graph it mirrors and from a freshly
 // frozen CSR snapshot — match sets, violation reports and matches_checked,
-// bit-identical — across homomorphism/isomorphism, compiled/legacy plans,
+// bit-identical — across homomorphism/isomorphism, compiled/per-rule plans,
 // serial/parallel fan-out and the intersection toggle, and across the
 // background re-freeze epoch swap of IncrementalValidator.
 
@@ -21,6 +21,7 @@
 #include "incr/incremental.h"
 #include "match/matcher.h"
 #include "reason/validation.h"
+#include "validator_testing.h"
 
 namespace ged {
 namespace {
@@ -207,7 +208,7 @@ void ExpectBackendsAgree(const Graph& g, const OverlayView& o,
           opts.policy.snapshot = SnapshotMode::kNever;
           std::string ctx =
               what + (sem == MatchSemantics::kHomomorphism ? " [hom" : " [iso") +
-              (compiled ? ", compiled" : ", legacy") +
+              (compiled ? ", compiled" : ", per-rule") +
               ", threads=" + std::to_string(threads) +
               (intersect ? ", lf]" : ", no-lf]");
           ValidationReport mut = Validate(g, sigma, opts);
@@ -382,31 +383,31 @@ void RunRefreezeStream(unsigned threads, bool intersect, unsigned seed) {
   // Tiny cutoff: every commit's side index trips a background re-freeze,
   // so the stream crosses many epoch swaps.
   opts.overlay_refreeze_cutoff = 1;
-  IncrementalValidator v(RandomPropertyGraph(gp), RandomGeds(4, rp), opts);
+  auto v = CreateValidator(RandomPropertyGraph(gp), RandomGeds(4, rp), opts);
   std::mt19937 rng(seed + 2);
-  uint64_t first_epoch = v.overlay_epoch();
+  uint64_t first_epoch = v->overlay_epoch();
   for (int commit = 0; commit < 6; ++commit) {
-    GraphDelta d = v.NewDelta();
+    GraphDelta d = v->NewDelta();
     NodeId n = d.AddNode(GenNodeLabel(rng() % gp.num_node_labels));
     d.SetAttr(n, GenAttr(rng() % gp.num_attrs),
               Value(static_cast<int64_t>(rng() % gp.num_values)));
-    d.AddEdge(static_cast<NodeId>(rng() % v.graph().NumNodes()),
+    d.AddEdge(static_cast<NodeId>(rng() % v->graph().NumNodes()),
               GenEdgeLabel(rng() % gp.num_edge_labels), n);
-    ASSERT_TRUE(v.Commit(d).ok());
+    ASSERT_TRUE(v->Commit(d).ok());
     // Deterministic boundary: force the in-flight re-freeze through and
     // re-check the report on the new epoch's overlay.
-    v.FinishRefreeze();
-    ValidationReport oracle = v.RevalidateFull();
-    EXPECT_EQ(v.report().satisfied, oracle.satisfied);
-    EXPECT_EQ(v.report().violations, oracle.violations);
+    v->FinishRefreeze();
+    ValidationReport oracle = v->RevalidateFull();
+    EXPECT_EQ(v->report().satisfied, oracle.satisfied);
+    EXPECT_EQ(v->report().violations, oracle.violations);
     // The swapped-in overlay must mirror the authoritative graph exactly.
-    ExpectSameReadSurface(FrozenGraph::Freeze(v.graph()), v.overlay(),
-                          "epoch " + std::to_string(v.overlay_epoch()));
+    ExpectSameReadSurface(FrozenGraph::Freeze(v->graph()), v->overlay(),
+                          "epoch " + std::to_string(v->overlay_epoch()));
   }
-  EXPECT_GT(v.overlay_epoch(), first_epoch);
-  EXPECT_GT(v.last_commit().refreezes_adopted, 0u);
-  EXPECT_GE(v.last_commit().refreezes_started,
-            v.last_commit().refreezes_adopted);
+  EXPECT_GT(v->overlay_epoch(), first_epoch);
+  EXPECT_GT(v->last_commit().refreezes_adopted, 0u);
+  EXPECT_GE(v->last_commit().refreezes_started,
+            v->last_commit().refreezes_adopted);
 }
 
 TEST(OverlayRefreeze, ReportsSurviveEpochSwaps) {
@@ -421,35 +422,35 @@ TEST(OverlayRefreeze, SnapshotSurvivesSwap) {
   KbInstance kb = GenKnowledgeBase(KbParams{});
   ValidationOptions opts;
   opts.overlay_refreeze_cutoff = 1;
-  IncrementalValidator v(kb.graph, Example1Geds(), opts);
-  std::shared_ptr<const FrozenGraph> pinned = v.overlay().base();
+  auto v = CreateValidator(kb.graph, Example1Geds(), opts);
+  std::shared_ptr<const FrozenGraph> pinned = v->overlay().base();
   size_t pinned_nodes = pinned->NumNodes();
-  GraphDelta d = v.NewDelta();
+  GraphDelta d = v->NewDelta();
   NodeId p = d.AddNode("product");
   d.SetAttr(p, "type", Value("book"));
-  ASSERT_TRUE(v.Commit(d).ok());
-  v.FinishRefreeze();
-  EXPECT_GT(v.overlay_epoch(), 0u);
+  ASSERT_TRUE(v->Commit(d).ok());
+  v->FinishRefreeze();
+  EXPECT_GT(v->overlay_epoch(), 0u);
   // The old snapshot is unchanged even though the validator moved on.
   EXPECT_EQ(pinned->NumNodes(), pinned_nodes);
-  EXPECT_LT(pinned_nodes, v.overlay().NumNodes());
+  EXPECT_LT(pinned_nodes, v->overlay().NumNodes());
 }
 
 TEST(OverlayRefreeze, DisabledCutoffNeverRefreezes) {
   KbInstance kb = GenKnowledgeBase(KbParams{});
   ValidationOptions opts;
   opts.overlay_refreeze_cutoff = 0;
-  IncrementalValidator v(kb.graph, Example1Geds(), opts);
+  auto v = CreateValidator(kb.graph, Example1Geds(), opts);
   for (int i = 0; i < 3; ++i) {
-    GraphDelta d = v.NewDelta();
+    GraphDelta d = v->NewDelta();
     NodeId p = d.AddNode("product");
     d.SetAttr(p, "type", Value("book"));
-    ASSERT_TRUE(v.Commit(d).ok());
+    ASSERT_TRUE(v->Commit(d).ok());
   }
-  EXPECT_FALSE(v.RefreezeInFlight());
-  EXPECT_FALSE(v.FinishRefreeze());
-  EXPECT_EQ(v.overlay_epoch(), 0u);
-  EXPECT_EQ(v.last_commit().refreezes_started, 0u);
+  EXPECT_FALSE(v->RefreezeInFlight());
+  EXPECT_FALSE(v->FinishRefreeze());
+  EXPECT_EQ(v->overlay_epoch(), 0u);
+  EXPECT_EQ(v->last_commit().refreezes_started, 0u);
 }
 
 }  // namespace

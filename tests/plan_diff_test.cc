@@ -1,8 +1,10 @@
 // Differential harness for the shared-plan ruleset compiler (src/plan/):
-// the compiled path and the legacy per-GED path must emit bit-identical
-// sorted violation reports — same violations, same matches_checked — on
-// every generator scenario, random GED set, delta stream and semantics.
-// Plus unit coverage for pattern canonicalization and bucketing.
+// the canonicalize-and-share plan (PlanMode::kCompiled) and the one-bucket-
+// per-rule plan over each rule's own pattern (PlanMode::kPerRule) must emit
+// bit-identical sorted violation reports — same violations, same
+// matches_checked — on every generator scenario, random GED set, delta
+// stream and semantics. Plus unit coverage for pattern canonicalization and
+// bucketing.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "incr/incremental.h"
 #include "plan/plan.h"
 #include "reason/validation.h"
+#include "validator_testing.h"
 
 namespace ged {
 namespace {
@@ -122,6 +125,45 @@ TEST(RulesetPlan, BucketsIsomorphicRulesTogether) {
   }
 }
 
+TEST(RulesetPlan, PerRuleModeKeepsEachRuleVerbatim) {
+  // Example1 plus variable-permuted copies: kCompiled would share buckets,
+  // kPerRule must not touch any rule.
+  std::vector<Ged> sigma = Example1Geds();
+  size_t base = sigma.size();
+  for (size_t i = 0; i < base; ++i) {
+    size_t n = sigma[i].pattern().NumVars();
+    std::vector<VarId> perm(n);
+    for (VarId x = 0; x < n; ++x) perm[x] = static_cast<VarId>(n - 1 - x);
+    sigma.push_back(PermuteGed(sigma[i], perm));
+  }
+  ASSERT_LT(RulesetPlan::Compile(sigma).buckets.size(), sigma.size());
+
+  RulesetPlan plan = RulesetPlan::Compile(sigma, PlanMode::kPerRule);
+  EXPECT_EQ(plan.num_rules, sigma.size());
+  ASSERT_EQ(plan.buckets.size(), plan.num_rules);
+  EXPECT_EQ(plan.NumSharedRules(), 0u);
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const PlanBucket& bucket = plan.buckets[i];
+    const Pattern& q = sigma[i].pattern();
+    ASSERT_EQ(bucket.rules.size(), 1u) << "bucket " << i;
+    ASSERT_EQ(bucket.pattern.NumVars(), q.NumVars()) << "bucket " << i;
+    for (VarId x = 0; x < q.NumVars(); ++x) {
+      EXPECT_EQ(bucket.pattern.label(x), q.label(x)) << "bucket " << i;
+      EXPECT_EQ(bucket.pattern.var_name(x), q.var_name(x)) << "bucket " << i;
+    }
+    EXPECT_EQ(bucket.pattern.edges(), q.edges()) << "bucket " << i;
+    const PlanRule& rule = bucket.rules[0];
+    EXPECT_EQ(rule.ged_index, i);
+    EXPECT_EQ(rule.name, sigma[i].name());
+    std::vector<VarId> identity(q.NumVars());
+    for (VarId x = 0; x < q.NumVars(); ++x) identity[x] = x;
+    EXPECT_EQ(rule.to_plan, identity) << "bucket " << i;
+    EXPECT_EQ(rule.x_plan, sigma[i].X()) << "bucket " << i;
+    EXPECT_EQ(rule.y_plan, sigma[i].Y()) << "bucket " << i;
+    EXPECT_EQ(rule.forbidding, sigma[i].is_forbidding());
+  }
+}
+
 TEST(RulesetPlan, EmptySigmaAndEmptyPattern) {
   RulesetPlan empty = RulesetPlan::Compile({});
   EXPECT_TRUE(empty.buckets.empty());
@@ -139,17 +181,17 @@ TEST(RulesetPlan, EmptySigmaAndEmptyPattern) {
   EXPECT_TRUE(forbidden.violations[0].match.empty());
 }
 
-// ----- differential: compiled vs legacy -------------------------------------
+// ----- differential: compiled vs per-rule ----------------------------------
 
 void ExpectPathsAgree(const Graph& g, const std::vector<Ged>& sigma,
                       ValidationOptions opts) {
   opts.policy.plan = PlanMode::kPerRule;
-  ValidationReport legacy = Validate(g, sigma, opts);
+  ValidationReport per_rule = Validate(g, sigma, opts);
   opts.policy.plan = PlanMode::kCompiled;
   ValidationReport compiled = Validate(g, sigma, opts);
-  EXPECT_EQ(compiled.satisfied, legacy.satisfied);
-  EXPECT_EQ(compiled.violations, legacy.violations);
-  EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
+  EXPECT_EQ(compiled.satisfied, per_rule.satisfied);
+  EXPECT_EQ(compiled.violations, per_rule.violations);
+  EXPECT_EQ(compiled.matches_checked, per_rule.matches_checked);
 }
 
 void ExpectPathsAgreeAllModes(const Graph& g, const std::vector<Ged>& sigma) {
@@ -231,6 +273,8 @@ TEST(PlanDifferential, ValidateTouchingAgrees) {
   rp.pattern_edges = 2;
   rp.seed = 42;
   std::vector<Ged> sigma = RandomGeds(6, rp);
+  RulesetPlan per_rule = RulesetPlan::Compile(sigma, PlanMode::kPerRule);
+  RulesetPlan shared = RulesetPlan::Compile(sigma);
   std::mt19937 rng(43);
   for (int round = 0; round < 6; ++round) {
     std::vector<NodeId> touched;
@@ -240,12 +284,12 @@ TEST(PlanDifferential, ValidateTouchingAgrees) {
     for (unsigned threads : {1u, 4u}) {
       ValidationOptions opts;
       opts.num_threads = threads;
-      opts.policy.plan = PlanMode::kPerRule;
-      ValidationReport legacy = ValidateTouching(g, sigma, touched, opts);
-      opts.policy.plan = PlanMode::kCompiled;
-      ValidationReport compiled = ValidateTouching(g, sigma, touched, opts);
-      EXPECT_EQ(compiled.violations, legacy.violations);
-      EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
+      ValidationReport expected =
+          ValidateTouchingWithPlan(g, per_rule, touched, opts);
+      ValidationReport compiled =
+          ValidateTouchingWithPlan(g, shared, touched, opts);
+      EXPECT_EQ(compiled.violations, expected.violations);
+      EXPECT_EQ(compiled.matches_checked, expected.matches_checked);
     }
   }
 }
@@ -270,15 +314,14 @@ TEST(PlanDifferential, SeededByEdgesAgrees) {
   }
   ASSERT_FALSE(seeds.empty());
   ValidationOptions opts;
-  uint64_t checked_legacy = 0, checked_compiled = 0;
-  opts.policy.plan = PlanMode::kPerRule;
-  std::vector<Violation> legacy =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_legacy);
-  opts.policy.plan = PlanMode::kCompiled;
-  std::vector<Violation> compiled =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_compiled);
-  EXPECT_EQ(compiled, legacy);
-  EXPECT_EQ(checked_compiled, checked_legacy);
+  uint64_t checked_per_rule = 0, checked_compiled = 0;
+  std::vector<Violation> per_rule = FindViolationsSeededByEdgesWithPlan(
+      g, RulesetPlan::Compile(sigma, PlanMode::kPerRule), seeds, opts,
+      &checked_per_rule);
+  std::vector<Violation> compiled = FindViolationsSeededByEdgesWithPlan(
+      g, RulesetPlan::Compile(sigma), seeds, opts, &checked_compiled);
+  EXPECT_EQ(compiled, per_rule);
+  EXPECT_EQ(checked_compiled, checked_per_rule);
 }
 
 // ----- differential: random delta streams (incr_test stream machinery) -----
@@ -323,10 +366,10 @@ GraphDelta RandomDelta(const Graph& g, std::mt19937* rng, size_t num_ops,
   return d;
 }
 
-// The compiled incremental validator must track the *legacy* from-scratch
+// The compiled incremental validator must track the *per-rule* from-scratch
 // oracle across a random delta stream — the end-to-end differential: every
 // layer (full validate, touching re-scan, edge-seeded re-scan) crosses the
-// compiled/legacy boundary here.
+// compiled/per-rule boundary here.
 void RunDifferentialStream(MatchSemantics sem, unsigned threads,
                            unsigned seed) {
   RandomGraphParams gp;
@@ -343,23 +386,23 @@ void RunDifferentialStream(MatchSemantics sem, unsigned threads,
   opts.semantics = sem;
   opts.num_threads = threads;
   opts.policy.plan = PlanMode::kCompiled;
-  IncrementalValidator v(RandomPropertyGraph(gp), sigma, opts);
+  auto v = CreateValidator(RandomPropertyGraph(gp), sigma, opts);
 
-  ValidationOptions legacy_opts = opts;
-  legacy_opts.policy.plan = PlanMode::kPerRule;
-  auto expect_matches_legacy = [&]() {
-    ValidationReport oracle = Validate(v.graph(), v.sigma(), legacy_opts);
-    EXPECT_EQ(v.report().satisfied, oracle.satisfied);
-    EXPECT_EQ(v.report().violations, oracle.violations);
+  ValidationOptions per_rule_opts = opts;
+  per_rule_opts.policy.plan = PlanMode::kPerRule;
+  auto expect_matches_per_rule = [&]() {
+    ValidationReport oracle = Validate(v->graph(), v->sigma(), per_rule_opts);
+    EXPECT_EQ(v->report().satisfied, oracle.satisfied);
+    EXPECT_EQ(v->report().violations, oracle.violations);
   };
-  expect_matches_legacy();
+  expect_matches_per_rule();
 
   std::mt19937 rng(seed + 2);
   for (int commit = 0; commit < 8; ++commit) {
-    GraphDelta d = RandomDelta(v.graph(), &rng, 12, gp);
-    auto applied = v.Commit(d);
+    GraphDelta d = RandomDelta(v->graph(), &rng, 12, gp);
+    auto applied = v->Commit(d);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    expect_matches_legacy();
+    expect_matches_per_rule();
   }
 }
 

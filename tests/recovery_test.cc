@@ -20,6 +20,7 @@
 #include "incr/incremental.h"
 #include "incr/wal.h"
 #include "reason/validation.h"
+#include "validator_testing.h"
 
 namespace ged {
 namespace {
@@ -75,8 +76,7 @@ ValidationOptions DurableOptions(const std::string& dir,
 // Builds the never-crashed oracle: a fresh (non-durable) validator fed the
 // first `epochs` deterministic steps.
 std::unique_ptr<IncrementalValidator> BuildOracle(uint64_t epochs) {
-  auto v = std::make_unique<IncrementalValidator>(Graph(), TestSigma(),
-                                                  ValidationOptions{});
+  auto v = CreateValidator(Graph(), TestSigma());
   for (uint64_t i = 0; i < epochs; ++i) {
     GraphDelta d = v->NewDelta();
     RecordStep(&d, v->graph(), static_cast<int>(i));

@@ -20,6 +20,7 @@
 #include "obs/log.h"
 #include "obs/obs.h"
 #include "reason/validation.h"
+#include "validator_testing.h"
 
 namespace ged {
 namespace {
@@ -279,12 +280,12 @@ TEST(FlightRecorderTest, CapturesSlowCommitWithStatsAndSpans) {
   session.Recorder().set_commit_threshold_ns(0);
   ValidationOptions opts;
   opts.obs = session.Options();
-  IncrementalValidator v(kb.graph, Example1Geds(), opts);
+  auto v = CreateValidator(kb.graph, Example1Geds(), opts);
 
-  GraphDelta d(v.graph());
+  GraphDelta d(v->graph());
   NodeId p = d.AddNode(Sym("product"));
   d.SetAttr(p, Sym("type"), Value("book"));
-  ASSERT_TRUE(v.Commit(d).ok());
+  ASSERT_TRUE(v->Commit(d).ok());
 
   std::vector<FlightRecorder::Capture> caps = session.Recorder().Snapshot();
   bool found_commit = false;

@@ -108,12 +108,15 @@ TEST(ValidationDeterminism, ValidateTouchingAcrossThreads) {
   std::vector<NodeId> touched;
   for (NodeId v = 0; v < g.NumNodes(); v += 7) touched.push_back(v);
 
+  RulesetPlan plan = RulesetPlan::Compile(sigma);
+
   ValidationOptions opts;
   opts.num_threads = 1;
-  ValidationReport serial = ValidateTouching(g, sigma, touched, opts);
+  ValidationReport serial = ValidateTouchingWithPlan(g, plan, touched, opts);
   for (unsigned threads : {2u, 8u}) {
     opts.num_threads = threads;
-    ValidationReport parallel = ValidateTouching(g, sigma, touched, opts);
+    ValidationReport parallel =
+        ValidateTouchingWithPlan(g, plan, touched, opts);
     EXPECT_EQ(parallel.violations, serial.violations) << threads << " threads";
     EXPECT_EQ(parallel.matches_checked, serial.matches_checked)
         << threads << " threads";
