@@ -188,17 +188,22 @@ class ProofBuilder {
   // When a forbidding GED of Σ fires, the chase journal has no literal entry
   // (the sequence just becomes invalid). Find the firing match and embed the
   // desugared GED; its conflicting constants make the accumulator
-  // inconsistent so GED5 can close.
+  // inconsistent so GED5 can close. The GED's premise-unified pattern
+  // (ged/unify.h) is enumerated, so only the rest of X is checked here.
   Status EmbedFiringForbidding() {
     for (size_t idx = 0; idx < sigma_.size(); ++idx) {
       if (!sigma_[idx].is_forbidding()) continue;
       const Ged& phi = sigma_[idx];
-      std::vector<Match> matches = AllMatches(phi.pattern(), co_->graph);
-      for (const Match& h : matches) {
-        if (!EqSatisfiesAll(*eq_, *co_, h, phi.X())) continue;
-        Match base(h.size());
-        for (size_t i = 0; i < h.size(); ++i) base[i] = co_->rep[h[i]];
-        return ReplayEmbedding(idx, base);
+      UnifiedPremise u = UnifyIdPremises(phi.pattern(), phi.X());
+      for (const Match& base : PremiseMatches(u, *co_)) {
+        bool x_ok = true;
+        for (const Literal& l : u.x) {
+          if (!LiteralHoldsAt(*eq_, base, l)) {
+            x_ok = false;
+            break;
+          }
+        }
+        if (x_ok) return ReplayEmbedding(idx, base);
       }
     }
     return Status::Internal("no firing forbidding GED found");

@@ -91,6 +91,19 @@ Match ToBaseMatch(const Coercion& co, const Match& h) {
 
 }  // namespace
 
+std::vector<Match> PremiseMatches(const UnifiedPremise& u, const Coercion& co,
+                                  const MatchOptions& mopts) {
+  if (u.vacuous) return {};
+  std::vector<Match> matches = AllMatches(u.pattern, co.graph, mopts);
+  Match rule_match;
+  for (Match& h : matches) {
+    u.Expand(h, &rule_match);
+    h.resize(rule_match.size());
+    for (size_t i = 0; i < h.size(); ++i) h[i] = co.rep[rule_match[i]];
+  }
+  return matches;
+}
+
 bool EqSatisfiesLiteral(const EqRel& eq, const Coercion& co, const Match& h,
                         const Literal& literal) {
   return EqLiteralHolds(eq, ToBaseMatch(co, h), literal);
@@ -208,6 +221,17 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
     return res;
   }
   std::mt19937 rng(options.order_seed);
+  // Each rule's id premises folded into its pattern, once: in the coercion
+  // two variables name the same class iff they bind the same quotient
+  // node, so the unified pattern's matches are exactly the matches whose id
+  // premises hold.
+  std::vector<UnifiedPremise> unified;
+  unified.reserve(sigma.size());
+  for (const Ged& phi : sigma) {
+    unified.push_back(UnifyIdPremises(phi.pattern(), phi.X()));
+  }
+  MatchOptions mopts;
+  mopts.obs = options.obs;
 
   bool done = false;
   while (!done) {
@@ -222,14 +246,13 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
 
     for (size_t idx : rule_order) {
       const Ged& phi = sigma[idx];
-      std::vector<Match> matches = AllMatches(phi.pattern(), co.graph);
+      std::vector<Match> matches = PremiseMatches(unified[idx], co, mopts);
       if (options.order_seed != 0) {
         std::shuffle(matches.begin(), matches.end(), rng);
       }
-      for (const Match& h : matches) {
-        Match base_match = ToBaseMatch(co, h);
+      for (const Match& base_match : matches) {
         bool x_sat = true;
-        for (const Literal& l : phi.X()) {
+        for (const Literal& l : unified[idx].x) {
           if (!EqLiteralHolds(eq, base_match, l)) {
             x_sat = false;
             break;

@@ -6,7 +6,11 @@
 // (Theorem 1): all terminal sequences yield the same result — either the
 // same (Eq, G_Eq), or all invalid (⊥). Chase() computes that unique result
 // as a monotone fixpoint; ChaseOptions::order_seed reshuffles the
-// application order so tests can confirm order independence.
+// application order so tests can confirm order independence. Each round
+// matches every rule's premise-unified pattern (ged/unify.h) in the
+// coercion, so a rule whose id premises link two variables only enumerates
+// matches that bind them to one class; each match is expanded back to the
+// rule's variables before it is checked or journaled.
 //
 // Compared to the relational chase, steps here may
 //   * merge nodes (id literals) — including their attributes and edges,
@@ -21,6 +25,7 @@
 
 #include "chase/equivalence.h"
 #include "ged/ged.h"
+#include "ged/unify.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 
@@ -40,6 +45,14 @@ struct Coercion {
 /// Builds the coercion of `eq` on its base graph.
 Coercion BuildCoercion(const EqRel& eq);
 
+/// The matches of a rule's premise-unified pattern `u` (ged/unify.h) in the
+/// coercion, in enumeration order, each expanded to the rule's variables
+/// and given as base-graph representative nodes. Every id premise of the
+/// rule holds on each of them; the literals left in u.x are the caller's to
+/// check. Empty when `u` is vacuous.
+std::vector<Match> PremiseMatches(const UnifiedPremise& u, const Coercion& co,
+                                  const MatchOptions& mopts = {});
+
 /// One applied chase step (journal entry), recorded against base-graph ids.
 struct ChaseStep {
   size_t ged_index;        ///< which GED of Σ was applied
@@ -57,8 +70,9 @@ struct ChaseOptions {
   unsigned order_seed = 0;
   /// Record the journal of applied steps (needed by the proof generator).
   bool record_journal = true;
-  /// Observability sinks (entry-point instrumentation only: a "Chase" span,
-  /// chase.runs/chase.steps counters, chase.wall_ns — no per-step hooks).
+  /// Observability sinks: a "Chase" span, chase.runs/chase.steps counters
+  /// and chase.wall_ns at the entry point, plus the matcher's match.*
+  /// counters for every round's enumeration — no per-step hooks.
   ObsOptions obs;
 };
 

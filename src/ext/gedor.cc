@@ -103,16 +103,17 @@ struct Pending {
   Match base_match;
 };
 
+// X is a conjunction, so each rule's id premises are folded into its
+// pattern: `unified[i]` is sigma[i]'s premise-unified pattern (ged/unify.h).
 std::optional<Pending> FindPending(const EqRel& eq,
-                                   const std::vector<GedOr>& sigma) {
+                                   const std::vector<GedOr>& sigma,
+                                   const std::vector<UnifiedPremise>& unified) {
   Coercion co = BuildCoercion(eq);
-  for (const GedOr& psi : sigma) {
-    std::vector<Match> matches = AllMatches(psi.pattern(), co.graph);
-    for (const Match& h : matches) {
-      Match bm(h.size());
-      for (size_t i = 0; i < h.size(); ++i) bm[i] = co.rep[h[i]];
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const GedOr& psi = sigma[i];
+    for (const Match& bm : PremiseMatches(unified[i], co)) {
       bool x_ok = true;
-      for (const Literal& l : psi.X()) {
+      for (const Literal& l : unified[i].x) {
         if (!LiteralHoldsAt(eq, bm, l)) {
           x_ok = false;
           break;
@@ -138,6 +139,11 @@ DisjChaseResult DisjunctiveChase(const Graph& base,
                                  const std::vector<GedOr>& sigma,
                                  const EqRel* init, uint64_t max_states) {
   DisjChaseResult out;
+  std::vector<UnifiedPremise> unified;
+  unified.reserve(sigma.size());
+  for (const GedOr& psi : sigma) {
+    unified.push_back(UnifyIdPremises(psi.pattern(), psi.X()));
+  }
   std::unordered_set<std::string> visited;
   std::unordered_set<std::string> leaf_sigs;
   std::deque<EqRel> stack;
@@ -156,7 +162,7 @@ DisjChaseResult DisjunctiveChase(const Graph& base,
     std::string sig = eq.CanonicalSignature();
     if (!visited.insert(sig).second) continue;
     ++out.states;
-    auto pending = FindPending(eq, sigma);
+    auto pending = FindPending(eq, sigma, unified);
     if (!pending.has_value()) {
       if (leaf_sigs.insert(sig).second) out.valid_leaves.push_back(eq);
       continue;

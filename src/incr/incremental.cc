@@ -494,7 +494,15 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
 }
 
 ValidationReport IncrementalValidator::RevalidateFull() const {
-  return ValidateWithPlan(graph_, plan_, options_);
+  // Create checked the policy for the incremental surface, which accepts
+  // join=leapfrog with snapshot=never on the overlay backend (commits read
+  // the overlay's CSR). Full validation rejects that pair, so the oracle
+  // lets the snapshot default: under leapfrog it always freezes graph_.
+  ValidationOptions options = options_;
+  if (options.policy.join == JoinStrategy::kLeapfrog) {
+    options.policy.snapshot = SnapshotMode::kAuto;
+  }
+  return ValidateWithPlan(graph_, plan_, options);
 }
 
 }  // namespace ged

@@ -2,31 +2,32 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <string>
 
 #include "ged/canonical.h"
+#include "ged/unify.h"
 #include "graph/overlay.h"
 
 namespace ged {
 
 namespace {
 
-// The bucket's representative: `q` with variable x renamed to to_plan[x].
-// Labels and edges land in canonical order, so every member rule of a bucket
-// produces this exact pattern.
-Pattern CanonicalPattern(const Pattern& q, const std::vector<VarId>& to_plan) {
+// The bucket's representative: `q` with variable x renamed to
+// to_canonical[x]. Labels and edges land in canonical order, so every member
+// rule of a bucket produces this exact pattern.
+Pattern CanonicalPattern(const Pattern& q,
+                         const std::vector<VarId>& to_canonical) {
   size_t n = q.NumVars();
-  std::vector<VarId> from_plan(n);
-  for (VarId x = 0; x < n; ++x) from_plan[to_plan[x]] = x;
+  std::vector<VarId> from_canonical(n);
+  for (VarId x = 0; x < n; ++x) from_canonical[to_canonical[x]] = x;
   Pattern rep;
   for (size_t i = 0; i < n; ++i) {
-    rep.AddVar("v" + std::to_string(i), q.label(from_plan[i]));
+    rep.AddVar("v" + std::to_string(i), q.label(from_canonical[i]));
   }
   std::vector<Pattern::PEdge> edges;
   edges.reserve(q.NumEdges());
   for (const Pattern::PEdge& e : q.edges()) {
-    edges.push_back({to_plan[e.src], e.label, to_plan[e.dst]});
+    edges.push_back({to_canonical[e.src], e.label, to_canonical[e.dst]});
   }
   std::sort(edges.begin(), edges.end(), [](const Pattern::PEdge& a,
                                            const Pattern::PEdge& b) {
@@ -65,32 +66,35 @@ RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma,
   std::map<std::vector<uint64_t>, size_t> bucket_of;
   for (size_t i = 0; i < sigma.size(); ++i) {
     const Ged& phi = sigma[i];
+    UnifiedPremise unified = UnifyIdPremises(phi.pattern(), phi.X());
     PlanRule rule;
     rule.ged_index = i;
     rule.name = phi.name();
     rule.forbidding = phi.is_forbidding();
+    rule.merges = unified.merges;
+    rule.vacuous = unified.vacuous;
+    rule.to_plan = std::move(unified.to_quotient);
+    size_t bucket;
     if (mode == PlanMode::kPerRule) {
-      // A bucket of its own over the rule's pattern, variables untouched.
-      rule.to_plan.resize(phi.pattern().NumVars());
-      std::iota(rule.to_plan.begin(), rule.to_plan.end(), VarId{0});
-      rule.x_plan = phi.X();
-      rule.y_plan = phi.Y();
-      plan.buckets.push_back(PlanBucket{phi.pattern(), {}});
-      plan.buckets.back().rules.push_back(std::move(rule));
-      continue;
+      // A bucket of its own over the unified pattern, variables untouched.
+      bucket = plan.buckets.size();
+      plan.buckets.push_back(PlanBucket{std::move(unified.pattern), {}});
+    } else {
+      PatternCanonicalForm form = CanonicalizePattern(unified.pattern);
+      auto [it, inserted] = bucket_of.emplace(std::move(form.key),
+                                              plan.buckets.size());
+      if (inserted) {
+        plan.buckets.emplace_back();
+        plan.buckets.back().pattern =
+            CanonicalPattern(unified.pattern, form.to_canonical);
+      }
+      bucket = it->second;
+      // Rule variable → quotient variable → canonical position.
+      for (VarId& v : rule.to_plan) v = form.to_canonical[v];
     }
-    PatternCanonicalForm form = CanonicalizePattern(phi.pattern());
-    auto [it, inserted] = bucket_of.emplace(std::move(form.key),
-                                            plan.buckets.size());
-    if (inserted) {
-      plan.buckets.emplace_back();
-      plan.buckets.back().pattern =
-          CanonicalPattern(phi.pattern(), form.to_canonical);
-    }
-    rule.x_plan = RemapLiterals(phi.X(), form.to_canonical);
-    rule.y_plan = RemapLiterals(phi.Y(), form.to_canonical);
-    rule.to_plan = std::move(form.to_canonical);
-    plan.buckets[it->second].rules.push_back(std::move(rule));
+    rule.x_plan = RemapLiterals(unified.x, rule.to_plan);
+    rule.y_plan = RemapLiterals(phi.Y(), rule.to_plan);
+    plan.buckets[bucket].rules.push_back(std::move(rule));
   }
   return plan;
 }
@@ -101,9 +105,15 @@ template <typename GView>
 MatchStats ScanBucketT(const GView& g, const PlanBucket& bucket,
                        const MatchOptions& mopts, uint64_t* checked,
                        const PlanViolationCallback& on_violation) {
+  const MatchSemantics sem = mopts.semantics;
+  if (std::none_of(bucket.rules.begin(), bucket.rules.end(),
+                   [&](const PlanRule& r) { return r.CanFire(sem); })) {
+    return MatchStats{};
+  }
   Match rule_match;
   return EnumerateMatches(bucket.pattern, g, mopts, [&](const Match& h) {
     for (const PlanRule& r : bucket.rules) {
+      if (!r.CanFire(sem)) continue;
       ++*checked;
       if (!SatisfiesAll(g, h, r.x_plan)) continue;
       if (!r.forbidding && SatisfiesAll(g, h, r.y_plan)) continue;

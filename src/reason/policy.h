@@ -32,8 +32,8 @@ enum class JoinStrategy : uint8_t {
 /// evaluated by the same plan executor.
 enum class PlanMode : uint8_t {
   kCompiled = 0,  ///< isomorphic rules share a bucket, one walk per shape
-  kPerRule,       ///< one bucket per rule over its own pattern, no
-                  ///< canonicalization (differential/ablation)
+  kPerRule,       ///< one bucket per rule over its own premise-unified
+                  ///< pattern, no canonicalization (differential/ablation)
 };
 
 /// Whether full validation compiles a mutable graph into a FrozenGraph CSR

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace ged {
@@ -163,11 +164,13 @@ bool TouchingRunOptions(const GView& g, const Pattern& q,
 
 // Post-scan accounting shared by the bucket scan flavors: a step-budget
 // abort taints every member rule, and the profiler gets per-rule checked
-// counts (= enumerated matches — every match checks every member rule) plus
-// the violations this scan appended at [viol_start..).
+// counts (= enumerated matches — every match checks every member rule that
+// can fire under `sem`) plus the violations this scan appended at
+// [viol_start..).
 void AccountBucketScan(const PlanBucket& bucket, size_t bucket_id,
-                       const MatchStats& stats, WorkerState* ws,
-                       size_t viol_start, ProfileCollector* profiler) {
+                       MatchSemantics sem, const MatchStats& stats,
+                       WorkerState* ws, size_t viol_start,
+                       ProfileCollector* profiler) {
   if (stats.aborted) {
     for (const PlanRule& r : bucket.rules) ws->aborted.push_back(r.ged_index);
   }
@@ -179,7 +182,8 @@ void AccountBucketScan(const PlanBucket& bucket, size_t bucket_id,
     for (size_t i = viol_start; i < ws->violations.size(); ++i) {
       if (ws->violations[i].ged_index == r.ged_index) ++viols;
     }
-    profiler->AddRuleCounts(r.ged_index, stats.matches, viols, stats.aborted);
+    profiler->AddRuleCounts(r.ged_index, r.CanFire(sem) ? stats.matches : 0,
+                            viols, stats.aborted);
   }
 }
 
@@ -213,7 +217,7 @@ void ScanBucketInto(const GView& g, const PlanBucket& bucket,
       run();
     }
   }
-  AccountBucketScan(bucket, bucket_id, stats, ws, viol_start,
+  AccountBucketScan(bucket, bucket_id, vopts.semantics, stats, ws, viol_start,
                     obs.profiler());
   obs.Finish();
 }
@@ -238,7 +242,7 @@ void ScanBucketTouching(const GView& g, const PlanBucket& bucket,
                    ws->violations.push_back(Violation{ged_index, rule_match});
                    return true;
                  });
-  AccountBucketScan(bucket, bucket_id, stats, ws, viol_start,
+  AccountBucketScan(bucket, bucket_id, vopts.semantics, stats, ws, viol_start,
                     obs.profiler());
   obs.Finish();
 }
@@ -481,71 +485,80 @@ class ValidateObsScope {
   ScopedLatency lat_;
 };
 
+// One public Validate / ValidateWithPlan call: checks options.policy for
+// full validation (the pre-frozen and overlay backends already scan a CSR,
+// so policy.snapshot is moot there), then runs `run` under the run-level
+// observability scope. A rejected policy scans nothing.
+template <typename GView, typename Run>
+ValidationReport PublicEntry(const GView& g, const ValidationOptions& options,
+                             const Run& run) {
+  ExecutionPolicy policy = options.policy;
+  if constexpr (!std::is_same_v<GView, Graph>) {
+    policy.snapshot = SnapshotMode::kAuto;
+  }
+  Status status =
+      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
+  if (!status.ok()) {
+    ValidationReport rejected;
+    rejected.satisfied = false;
+    rejected.status = std::move(status);
+    return rejected;
+  }
+  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
+  ValidationReport report = run();
+  scope.Observe(report);
+  return report;
+}
+
 }  // namespace
 
 ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
+  return PublicEntry(g, options, [&] {
+    if (!ShouldFreeze(g, options)) return ValidateNoObs(g, sigma, options);
     // Freeze once; serial and parallel workers all scan the CSR arrays.
     FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateNoObs(frozen, sigma, options);
-  } else {
-    report = ValidateNoObs(g, sigma, options);
-  }
-  scope.Observe(report);
-  return report;
+    return ValidateNoObs(frozen, sigma, options);
+  });
 }
 
 ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateNoObs(g, sigma, options);
-  scope.Observe(report);
-  return report;
+  return PublicEntry(g, options,
+                     [&] { return ValidateNoObs(g, sigma, options); });
 }
 
 ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
                                   const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
+  return PublicEntry(g, options, [&] {
+    if (!ShouldFreeze(g, options)) {
+      return ValidateWithPlanNoObs(g, plan, options);
+    }
     FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateWithPlanNoObs(frozen, plan, options);
-  } else {
-    report = ValidateWithPlanNoObs(g, plan, options);
-  }
-  scope.Observe(report);
-  return report;
+    return ValidateWithPlanNoObs(frozen, plan, options);
+  });
 }
 
 ValidationReport ValidateWithPlan(const FrozenGraph& g,
                                   const RulesetPlan& plan,
                                   const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateWithPlanNoObs(g, plan, options);
-  scope.Observe(report);
-  return report;
+  return PublicEntry(g, options,
+                     [&] { return ValidateWithPlanNoObs(g, plan, options); });
 }
 
 // Overlay overloads: the base is already CSR, so there is no ShouldFreeze
 // question — scan the overlay directly.
 ValidationReport Validate(const OverlayView& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateNoObs(g, sigma, options);
-  scope.Observe(report);
-  return report;
+  return PublicEntry(g, options,
+                     [&] { return ValidateNoObs(g, sigma, options); });
 }
 
 ValidationReport ValidateWithPlan(const OverlayView& g,
                                   const RulesetPlan& plan,
                                   const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateWithPlanNoObs(g, plan, options);
-  scope.Observe(report);
-  return report;
+  return PublicEntry(g, options,
+                     [&] { return ValidateWithPlanNoObs(g, plan, options); });
 }
 
 void SortViolationList(std::vector<Violation>* violations) {
@@ -676,7 +689,8 @@ std::vector<Violation> FindViolationsSeededByEdgesWithPlanT(
                        ws.violations.push_back(Violation{ged_index, rule_match});
                        return true;
                      });
-      AccountBucketScan(bucket, b, stats, &ws, viol_start, obs.profiler());
+      AccountBucketScan(bucket, b, options.semantics, stats, &ws, viol_start,
+                        obs.profiler());
       obs.Finish();
     }
   }

@@ -12,8 +12,10 @@
 // with per-rule condition callbacks, so a multi-rule Σ over few pattern
 // shapes pays one match-space walk per shape instead of one per rule.
 // ExecutionPolicy::plan = kPerRule compiles one bucket per rule over the
-// rule's own pattern instead; both shapes produce bit-identical sorted
-// reports (pinned by the differential harness in tests/plan_diff_test.cc).
+// rule's own premise-unified pattern (plan/plan.h: id premises of X folded
+// into the pattern, which both shapes do) instead; both shapes produce
+// bit-identical sorted reports (pinned by the differential harness in
+// tests/plan_diff_test.cc).
 // The paper's future-work item "parallel scalable algorithms" is
 // implemented as a thread pool partitioning the candidate bindings of one
 // pattern variable — the most selective one, by the label-index statistics
@@ -82,8 +84,8 @@ struct ValidationOptions {
   ///     list generator. Reports are identical either way; kAuto leapfrogs
   ///     wherever the backend has sorted columnar spans.
   ///   * plan: how Σ compiles — isomorphic rules share one bucket, or one
-  ///     bucket per rule over its own pattern (differential testing and
-  ///     ablation); reports are bit-identical.
+  ///     bucket per rule over its own premise-unified pattern (differential
+  ///     testing and ablation); reports are bit-identical.
   ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
   ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
   ///     kAuto engages above an amortization cutoff (and always under
@@ -129,20 +131,31 @@ struct ValidationReport {
   bool satisfied = true;
   /// All violations found (sorted by ged_index, then match).
   std::vector<Violation> violations;
-  /// Total (match, rule) pairs inspected across all GEDs. Identical between
-  /// the two plan shapes: a bucket of r rules counts each enumerated match
-  /// r times, exactly as r one-rule buckets would.
+  /// Total (match, rule) pairs inspected across all GEDs, where a match is
+  /// one of the rule's premise-unified pattern (plan/plan.h): a match of the
+  /// rule's pattern that binds two id-linked variables to different nodes
+  /// is never enumerated, and rules that cannot fire under the semantics
+  /// count 0. Identical between the two plan shapes: a bucket of r rules
+  /// counts each enumerated match r times, exactly as r one-rule buckets
+  /// would.
   uint64_t matches_checked = 0;
   /// GED indices (sorted, distinct) whose scan hit
   /// ValidationOptions::max_steps_per_scan — their violation lists may be
   /// incomplete. Empty when the budget is 0 or never reached.
   std::vector<size_t> aborted_geds;
+  /// OK, or InvalidArgument when ValidateExecutionPolicy rejected
+  /// options.policy for full validation; nothing was scanned then, and
+  /// `satisfied` is false with no violations.
+  Status status;
 };
 
 /// Checks G ⊨ Σ, reporting violations: compiles Σ under policy.plan, then
 /// runs ValidateWithPlan. Under policy.snapshot = kAuto (the default) the
 /// graph is frozen once above the amortization cutoff and scanned through
-/// the CSR snapshot.
+/// the CSR snapshot. Every Validate / ValidateWithPlan overload first checks
+/// options.policy with ValidateExecutionPolicy(..., kValidation) — on the
+/// pre-frozen and overlay backends with policy.snapshot treated as moot —
+/// and returns the rejection in ValidationReport::status without scanning.
 ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 /// Checks a pre-frozen snapshot (the serving path: freeze once, validate

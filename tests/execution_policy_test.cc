@@ -1,12 +1,14 @@
 // ExecutionPolicy (reason/policy.h): the coherent engine-options API.
 // Covers the options-validation rules that replaced runtime inert-knob
-// warnings, the deprecated-boolean alias folding, and the kernel-backend
-// name round-trip the env override depends on.
+// warnings, their enforcement by the full-validation entry points, and the
+// kernel-backend name round-trip the env override depends on.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "gen/scenarios.h"
+#include "graph/overlay.h"
 #include "match/kernels/kernel.h"
 #include "match/kernels/registry.h"
 #include "reason/policy.h"
@@ -37,6 +39,58 @@ TEST(ExecutionPolicy, RejectsLeapfrogWithoutSnapshot) {
   policy.commit_backend = CommitBackend::kOverlay;
   EXPECT_TRUE(
       ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental).ok());
+}
+
+TEST(ExecutionPolicy, ValidateRejectsInertPolicyWithoutScanning) {
+  // join=leapfrog with snapshot=never on a mutable graph: Validate and
+  // ValidateWithPlan return the rejection instead of silently scanning
+  // without the intersection.
+  DenseParams dp;
+  dp.num_members = 128;
+  dp.community_size = 32;
+  dp.follows_per_member = 12;
+  DenseInstance dense = GenDenseCommunity(dp);
+  std::vector<Ged> sigma = DenseCliqueGeds();
+  RulesetPlan plan = RulesetPlan::Compile(sigma);
+  auto lf_rounds = [](ObsSession& session) {
+    return session.Metrics()
+        .Snapshot()
+        .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
+        .value;
+  };
+  ObsSession session;
+  ValidationOptions opts;
+  opts.obs = session.Options();
+  opts.policy.join = JoinStrategy::kLeapfrog;
+  opts.policy.snapshot = SnapshotMode::kNever;
+  for (const ValidationReport& r :
+       {Validate(dense.graph, sigma, opts),
+        ValidateWithPlan(dense.graph, plan, opts)}) {
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(r.satisfied);
+    EXPECT_TRUE(r.violations.empty());
+    EXPECT_EQ(r.matches_checked, 0u);
+  }
+  EXPECT_EQ(lf_rounds(session), 0u);
+
+  // The CSR backends scan sorted spans whatever `snapshot` says, so the
+  // same policy is honored there.
+  FrozenGraph frozen = FrozenGraph::Freeze(dense.graph);
+  ValidationReport on_frozen = Validate(frozen, sigma, opts);
+  EXPECT_TRUE(on_frozen.status.ok()) << on_frozen.status.ToString();
+  uint64_t frozen_rounds = lf_rounds(session);
+  EXPECT_GT(frozen_rounds, 0u);
+  OverlayView overlay(std::make_shared<FrozenGraph>(std::move(frozen)));
+  ValidationReport on_overlay = ValidateWithPlan(overlay, plan, opts);
+  EXPECT_TRUE(on_overlay.status.ok()) << on_overlay.status.ToString();
+  EXPECT_EQ(on_overlay.violations, on_frozen.violations);
+  EXPECT_GT(lf_rounds(session), frozen_rounds);
+
+  // snapshot=auto freezes first and the intersection runs.
+  opts.policy.snapshot = SnapshotMode::kAuto;
+  ValidationReport accepted = Validate(dense.graph, sigma, opts);
+  EXPECT_TRUE(accepted.status.ok());
+  EXPECT_EQ(accepted.violations, on_frozen.violations);
 }
 
 TEST(ExecutionPolicy, RejectsLeapfrogOnMutableCommitBackend) {

@@ -625,6 +625,30 @@ TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
   EXPECT_EQ(accepted.value()->policy().join, JoinStrategy::kAuto);
 }
 
+TEST(IncrementalValidator, OracleRunsLeapfrogWithoutSnapshotOnOverlay) {
+  // join=leapfrog with snapshot=never is fine on the incremental surface
+  // with the overlay backend, though full validation rejects the pair. The
+  // from-scratch oracle must still validate (freezing the graph for the
+  // intersection), not return full validation's rejection.
+  Graph g;
+  NodeId x = g.AddNode("person");
+  NodeId y = g.AddNode("person");
+  g.AddEdge(x, "child", y);
+  ValidationOptions opts;
+  opts.policy.join = JoinStrategy::kLeapfrog;
+  opts.policy.snapshot = SnapshotMode::kNever;
+  opts.policy.commit_backend = CommitBackend::kOverlay;
+  auto v = CreateValidator(g, Example1Geds(), opts);
+  EXPECT_TRUE(v->report().satisfied);
+  GraphDelta d = v->NewDelta();
+  d.AddEdge(x, "parent", y);
+  ASSERT_TRUE(v->Commit(d).ok());
+  ASSERT_FALSE(v->report().satisfied);
+  ValidationReport full = v->RevalidateFull();
+  EXPECT_TRUE(full.status.ok()) << full.status.ToString();
+  ExpectReportsEqual(v->report(), full);
+}
+
 TEST(IncrementalValidator, SeedingFreezesTheGraphOnce) {
   // Above the snapshot cutoff a full validation of the mutable graph
   // freezes it. With the overlay on, the seed pass must validate the
